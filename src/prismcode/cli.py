@@ -168,7 +168,7 @@ def _one_based(positions) -> str:
 
 def cmd_solve(args) -> int:
     g = parse_graph(_read(args.graph))
-    opts = SolverOptions(strategy=args.strategy, size_cap=args.cap, workers=args.workers, seed=args.seed)
+    opts = SolverOptions(strategy=args.strategy, size_cap=args.cap)
     if args.export_instance:
         Path(args.export_instance).write_text(format_hitting_instance(hitting_instance(g, args.d)))
     res = solve_min_idcode(g, args.d, opts)
@@ -241,7 +241,7 @@ def cmd_scan(args) -> int:
         cap = args.cap
         if cap is None and args.d == 1 and n >= 9:
             cap = upper_bound(n)[0]  # a code of this size certifiably exists
-        opts = SolverOptions(strategy=args.strategy, size_cap=cap, workers=args.workers)
+        opts = SolverOptions(strategy=args.strategy, size_cap=cap)
         rows.extend(ic_table([n], args.d, opts))
     indexing_for = lambda n: PrismIndexing(n)
     if args.format == "json":
@@ -311,8 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-d", type=int, default=1)
     p.add_argument("--strategy", choices=("exhaustive", "bnb"), default="bnb")
     p.add_argument("--cap", type=int, default=None, help="certify optimum or prove it exceeds this size")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--export-instance", metavar="FILE", help="also write the hitting-set instance")
     _add_format_flags(p)
     p.set_defaults(func=cmd_solve)
@@ -336,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-d", type=int, default=1)
     p.add_argument("--strategy", choices=("exhaustive", "bnb"), default="bnb")
     p.add_argument("--cap", type=int, default=None, help="override the default per-n cap")
-    p.add_argument("--workers", type=int, default=1)
     _add_format_flags(p)
     p.set_defaults(func=cmd_scan)
 

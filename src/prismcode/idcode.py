@@ -161,8 +161,6 @@ def greedy_code(inst: HittingInstance) -> tuple[int, ...]:
         for c in unhit:
             for v in bits(c):
                 counts[v] = counts.get(v, 0) + 1
-        if not counts:
-            raise InfeasibleInstanceError((-1, -1))  # empty constraint, not produced here
         best = max(counts, key=lambda v: (counts[v], -v))
         chosen.append(best)
         chosen_mask |= 1 << best

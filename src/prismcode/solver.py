@@ -6,20 +6,18 @@ its first hit is the lexicographically smallest optimal code.  The
 branch-and-bound strategy only establishes the optimal size; the returned
 code is then rebuilt position by position with feasibility probes, so it,
 too, is the lexicographically smallest optimal code.  That shared
-canonical answer is the determinism contract: strategies, worker counts
-and repeated runs agree on everything except wall-clock time.
+canonical answer is the determinism contract: strategies and repeated
+runs agree on everything except wall-clock time.
 
-Branch and bound always splits the root branching constraint into
-independent subsearches that share no incumbent; workers only decide how
-those subsearches are scheduled, so node counts as well as results are
-identical for every worker count.
+The size search and the feasibility probes run the same recursive
+kernel, `_search`; a probe only differs in stopping at the first code
+that fits its budget.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, islice
 from typing import Iterable, Optional, Sequence
@@ -43,16 +41,12 @@ _BLOCK = 1 << 15
 class SolverOptions:
     strategy: str = "bnb"
     size_cap: Optional[int] = None
-    workers: int = 1
-    seed: int = 0  # reserved for randomized strategies; current ones are deterministic
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
         if self.size_cap is not None and self.size_cap < 0:
             raise ValueError("size_cap must be nonnegative")
-        if self.workers < 1:
-            raise ValueError("workers must be positive")
 
 
 @dataclass(frozen=True)
@@ -95,7 +89,7 @@ def solve_min_idcode(g: Graph, d: int, options: Optional[SolverOptions] = None) 
     if opts.strategy == "exhaustive":
         size, code, nodes = _exhaustive(inst, opts.size_cap)
     else:
-        size, nodes = _bnb_size(inst, opts.size_cap, opts.workers)
+        size, nodes = _bnb_size(inst, opts.size_cap)
         code = _lexmin_code(inst, size) if size is not None else None
     elapsed = time.perf_counter() - start
     if size is None:
@@ -183,11 +177,17 @@ def _pick_constraint(unhit: Sequence[int], allowed: int) -> int:
     return best
 
 
-def _search(unhit: list[int], chosen: int, allowed: int, goal: int, counter: list[int]) -> int:
-    """Complete search below goal; returns the best size found, else goal."""
+def _search(unhit: list[int], chosen: int, allowed: int, goal: int, floor: int, counter: list[int]) -> int:
+    """Complete search below goal; returns the best size found, else goal.
+
+    Stops as soon as it finds a size <= floor, so a floor of -1 asks for
+    the optimum and a floor of goal - 1 only for a witness that one fits.
+    """
     counter[0] += 1
     if not unhit:
         return chosen
+    if chosen + 1 >= goal:
+        return goal
     lb = _disjoint_bound(unhit, allowed)
     if lb is None or chosen + lb >= goal:
         return goal
@@ -197,73 +197,30 @@ def _search(unhit: list[int], chosen: int, allowed: int, goal: int, counter: lis
         vbit = 1 << v
         sub_allowed &= ~vbit
         rest = [u for u in unhit if not u & vbit]
-        goal = _search(rest, chosen + 1, sub_allowed, goal, counter)
+        goal = _search(rest, chosen + 1, sub_allowed, goal, floor, counter)
+        if goal <= floor:
+            break
     return goal
 
 
-def _branch(rest: list[int], allowed: int, goal: int) -> tuple[int, int]:
-    counter = [0]
-    best = _search(rest, 1, allowed, goal, counter)
-    return best, counter[0]
-
-
-def _bnb_size(inst: HittingInstance, cap: Optional[int], workers: int) -> tuple[Optional[int], int]:
-    """Optimal size and node count, or (None, nodes) when the cap is exceeded.
-
-    The root constraint is always split into one independent subsearch per
-    candidate vertex, each starting from the same greedy/cap bound, so the
-    outcome and the node count cannot depend on scheduling or workers.
-    """
+def _bnb_size(inst: HittingInstance, cap: Optional[int]) -> tuple[Optional[int], int]:
+    """Optimal size and node count, or (None, nodes) when the cap is exceeded."""
     if not inst.constraints:
         return 0, 0
     ub = len(greedy_code(inst))
     limit = ub if cap is None else min(ub, cap)
-    goal = limit + 1
     unhit = sorted(inst.constraints, key=lambda c: c.bit_count())
-    full = (1 << inst.universe) - 1
-    root = _pick_constraint(unhit, full)
-    tasks = []
-    sub_allowed = full
-    for v in bits(root):
-        vbit = 1 << v
-        sub_allowed &= ~vbit
-        tasks.append(([u for u in unhit if not u & vbit], sub_allowed))
-    if workers <= 1:
-        outcomes = [_branch(rest, allowed, goal) for rest, allowed in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_branch, rest, allowed, goal) for rest, allowed in tasks]
-            outcomes = [f.result() for f in futures]
-    best = min([goal] + [b for b, _ in outcomes])
-    nodes = 1 + sum(c for _, c in outcomes)
+    counter = [0]
+    best = _search(unhit, 0, (1 << inst.universe) - 1, limit + 1, -1, counter)
     if best > limit:
-        return None, nodes  # only reachable when the cap bites below the greedy size
-    return best, nodes
+        return None, counter[0]  # only reachable when the cap bites below the greedy size
+    return best, counter[0]
 
 
 # ------------------------------------------------------ canonical lex-min code
 
 def _above_mask(v: int, universe: int) -> int:
     return ((1 << universe) - 1) & ~((1 << v + 1) - 1)
-
-
-def _decide(unhit: list[int], allowed: int, budget: int) -> bool:
-    """Is there a hitting set of size <= budget inside allowed?"""
-    if not unhit:
-        return True
-    if budget <= 0:
-        return False
-    lb = _disjoint_bound(unhit, allowed)
-    if lb is None or lb > budget:
-        return False
-    c = _pick_constraint(unhit, allowed)
-    sub_allowed = allowed
-    for v in bits(c & allowed):
-        vbit = 1 << v
-        sub_allowed &= ~vbit
-        if _decide([u for u in unhit if not u & vbit], sub_allowed, budget - 1):
-            return True
-    return False
 
 
 def _lexmin_code(inst: HittingInstance, k: int) -> tuple[int, ...]:
@@ -275,12 +232,13 @@ def _lexmin_code(inst: HittingInstance, k: int) -> tuple[int, ...]:
     """
     unhit = sorted(inst.constraints, key=lambda c: c.bit_count())
     chosen: list[int] = []
+    probe_nodes = [0]  # not reported: SolverResult.nodes counts the size search only
     start = 0
     for pos in range(k):
         budget = k - pos - 1
         for v in range(start, inst.universe):
             rest = [c for c in unhit if not c >> v & 1]
-            if _decide(rest, _above_mask(v, inst.universe), budget):
+            if _search(rest, 0, _above_mask(v, inst.universe), budget + 1, budget, probe_nodes) <= budget:
                 chosen.append(v)
                 unhit = rest
                 start = v + 1

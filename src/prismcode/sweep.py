@@ -3,9 +3,10 @@
 Codes are packed into uint64 scalars using the prism vertex indexing
 (cycle bit a, bar bit n+a), so both the condition system and the
 definitional ball requirements become "mask & code != 0" tests that numpy
-applies to millions of codes at once.  The definitional side is built
-from the prism's actual distance balls, independent of the condition
-masks, which is what makes the equivalence sweeps meaningful.
+applies to millions of codes at once.  The definitional side is the
+prism's hitting-set instance, built from its actual distance balls and
+independent of the condition masks, which is what makes the equivalence
+sweeps meaningful.
 
 Scope: 2n must fit a uint64 payload, n <= 31; the sweeps are meant for
 desk-scale n anyway.
@@ -19,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cycleprism import condition_masks, _prism
-from .graphs import ball_table
+from .idcode import hitting_instance
 
 
 def _check_n(n: int) -> None:
@@ -55,16 +56,10 @@ def condition_satisfied(n: int, codes: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _definitional_masks(n: int) -> tuple[int, ...]:
-    prism = _prism(n)
-    balls = ball_table(prism, 1).balls
-    masks = list(balls)
-    for u in range(prism.order):
-        for v in range(u + 1, prism.order):
-            diff = balls[u] ^ balls[v]
-            if not diff:
-                raise ValueError(f"prism of C_{n} has radius-1 twins, no code exists")
-            masks.append(diff)
-    return tuple(masks)
+    inst = hitting_instance(_prism(n), 1)
+    if not inst.feasible:
+        raise ValueError(f"prism of C_{n} has radius-1 twins, no code exists")
+    return inst.constraints
 
 
 def definition_satisfied(n: int, codes: np.ndarray) -> np.ndarray:

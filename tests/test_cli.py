@@ -148,14 +148,20 @@ def test_solve_infeasible_exit_2(capsys, tmp_path):
 
 def test_solve_strategies_and_workers_agree(capsys, prism9):
     outs = []
-    for extra in ([], ["--strategy", "exhaustive"], ["--workers", "3"]):
+    for extra in ([], ["--strategy", "exhaustive"]):
         code, out, _ = run(capsys, "solve", prism9, "--json", *extra)
         assert code == 0
         payload = json.loads(out)
         payload.pop("ms")
         payload.pop("nodes")  # strategy-relative
         outs.append(payload)
-    assert outs[0] == outs[1] == outs[2]
+    assert outs[0] == outs[1]
+    # solve and scan take no worker or seed flags
+    for argv in (["solve", prism9, "--workers", "2"], ["solve", prism9, "--seed", "1"],
+                 ["scan", "9", "9", "--workers", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 64
 
 
 def test_solve_json_stable_across_runs(capsys, prism9):

@@ -54,6 +54,15 @@ def test_vector_matches_scalar(n):
         assert bool(v_ok) == is_identifying_code(g, 1, pair.vertices()).valid
 
 
+def test_definition_matches_scalar_exhaustive_n5():
+    codes = all_codes(5)
+    valid = definition_satisfied(5, codes)
+    g = complementary_prism(cycle(5))
+    for packed, v_ok in zip(codes, valid):
+        pair = CodePair.from_vertex_mask(5, int(packed))
+        assert bool(v_ok) == is_identifying_code(g, 1, pair.vertices()).valid
+
+
 def test_equivalence_sweep_counts_frozen_n9():
     res = equivalence_sweep(9, all_codes(9))
     assert res.total == 262144
