@@ -203,6 +203,8 @@ def cmd_twins(args) -> int:
 
 
 def cmd_cwcheck(args) -> int:
+    if args.trials < 0:
+        raise ValueError("--trials must be nonnegative")
     rng = random.Random(args.seed)
     fixed = None
     if not args.target.isdigit():

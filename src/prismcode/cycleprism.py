@@ -11,8 +11,8 @@ requirement on the cycle side plus two families for bar-side separation.
 The reduction is exact whenever the bar side of the code has at least 4
 members: that many bar members already dominate every bar vertex and
 separate every cycle/bar pair, so only the listed families can fail.
-With fewer bar members the conditions stay necessary but not sufficient,
-and verify_code falls back to the definitional check.
+With fewer bar members the conditions stay necessary but not sufficient.
+verify_code always decides with the definitional check on the prism.
 
 pattern_code builds the periodic code witnessing the n - 2*floor(n/9)
 upper bound; exchange applies a local rewrite that removes empty columns
@@ -29,7 +29,7 @@ import json
 import math
 from typing import Iterable, NamedTuple, Optional
 
-from .graphs import Graph, bits, complementary_prism, cycle
+from .graphs import BallTable, Graph, ball_table, bits, complementary_prism, cycle
 from .idcode import is_identifying_code
 
 DOMINATION = "dom"                     # a cycle vertex's view of the code is empty
@@ -214,19 +214,19 @@ def _prism(n: int) -> Graph:
     return complementary_prism(cycle(n))
 
 
+@lru_cache(maxsize=64)
+def _prism_balls(n: int) -> BallTable:
+    return ball_table(_prism(n), 1)
+
+
 def verify_code(code: CodePair) -> bool:
     """Is the pair an identifying code of the prism of C_n?
 
-    Decided purely by the condition system when the bar side has >= 4
-    members (the regime where the system is exact); otherwise falls back
-    to the definitional verifier on the prism graph.
+    Decided by the definitional verifier on the prism graph, with the
+    prism's radius-1 ball table cached per n.
     """
     _require_scope(code.n)
-    if code.xbar.bit_count() >= 4:
-        mask = code.vertex_mask
-        return all(mask & c.mask for c in condition_masks(code.n))
-    report = is_identifying_code(_prism(code.n), 1, code.vertices())
-    return report.valid
+    return is_identifying_code(_prism(code.n), 1, code.vertices(), _prism_balls(code.n)).valid
 
 
 def pattern_code(n: int) -> CodePair:

@@ -183,9 +183,6 @@ class BallTable:
         self.d = d
         self.balls = balls
 
-    def ball_mask(self, u: int) -> int:
-        return self.balls[u]
-
     def ball(self, u: int) -> tuple[int, ...]:
         return tuple(bits(self.balls[u]))
 

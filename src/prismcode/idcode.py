@@ -113,12 +113,8 @@ class HittingInstance:
         return all(code_mask & c for c in self.constraints)
 
 
-def hitting_instance(g: Graph, d: int, reduce: bool = False) -> HittingInstance:
-    """Build the domination + separation constraint system for (g, d).
-
-    With reduce=True, constraints that strictly contain another constraint
-    are dropped as well; the set of hitting sets is unchanged.
-    """
+def hitting_instance(g: Graph, d: int) -> HittingInstance:
+    """Build the domination + separation constraint system for (g, d)."""
     table = ball_table(g, d)
     constraints: list[int] = []
     seen: set[int] = set()
@@ -136,11 +132,6 @@ def hitting_instance(g: Graph, d: int, reduce: bool = False) -> HittingInstance:
             elif diff not in seen:
                 seen.add(diff)
                 constraints.append(diff)
-    if reduce:
-        constraints = [
-            c for c in constraints
-            if not any(o != c and o & ~c == 0 for o in constraints)
-        ]
     return HittingInstance(g.order, tuple(constraints), tuple(infeasible))
 
 

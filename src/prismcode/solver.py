@@ -3,15 +3,11 @@
 Two strategies, one answer.  The exhaustive strategy walks subsets in
 cardinality order (lexicographic within a cardinality) and is the oracle:
 its first hit is the lexicographically smallest optimal code.  The
-branch-and-bound strategy only establishes the optimal size; the returned
-code is then rebuilt position by position with feasibility probes, so it,
-too, is the lexicographically smallest optimal code.  That shared
-canonical answer is the determinism contract: strategies and repeated
-runs agree on everything except wall-clock time.
-
-The size search and the feasibility probes run the same recursive
-kernel, `_search`; a probe only differs in stopping at the first code
-that fits its budget.
+branch-and-bound strategy runs one search, `_search`, that orders hitting
+sets by size and breaks ties lexicographically, so it returns that same
+code; its node count covers all of its work.  That shared canonical
+answer is the determinism contract: strategies and repeated runs agree on
+everything except wall-clock time.
 """
 
 from __future__ import annotations
@@ -25,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .cycleprism import lower_bound, pattern_code, upper_bound
-from .graphs import Graph, PrismIndexing, bits, complementary_prism, cycle
+from .graphs import Graph, PrismIndexing, bits, complementary_prism, cycle, mask_of
 from .idcode import HittingInstance, greedy_code, hitting_instance, vertex_label
 
 STRATEGIES = ("exhaustive", "bnb")
@@ -86,11 +82,7 @@ def solve_min_idcode(g: Graph, d: int, options: Optional[SolverOptions] = None) 
             INFEASIBLE, witness=inst.infeasible_pairs[0],
             elapsed=time.perf_counter() - start,
         )
-    if opts.strategy == "exhaustive":
-        size, code, nodes = _exhaustive(inst, opts.size_cap)
-    else:
-        size, nodes = _bnb_size(inst, opts.size_cap)
-        code = _lexmin_code(inst, size) if size is not None else None
+    size, code, nodes = (_exhaustive if opts.strategy == "exhaustive" else _bnb)(inst, opts.size_cap)
     elapsed = time.perf_counter() - start
     if size is None:
         return SolverResult(CAP_EXCEEDED, nodes=nodes, elapsed=elapsed)
@@ -177,77 +169,63 @@ def _pick_constraint(unhit: Sequence[int], allowed: int) -> int:
     return best
 
 
-def _search(unhit: list[int], chosen: int, allowed: int, goal: int, floor: int, counter: list[int]) -> int:
-    """Complete search below goal; returns the best size found, else goal.
+def _search(
+    unhit: list[int], chosen: int, allowed: int, best: tuple[int, Optional[int]], counter: list[int],
+) -> tuple[int, Optional[int]]:
+    """Best (size, mask) among best and the hitting sets chosen | S, S within allowed.
 
-    Stops as soon as it finds a size <= floor, so a floor of -1 asks for
-    the optimum and a floor of goal - 1 only for a witness that one fits.
+    Sets compare by size, then by the lowest vertex where they differ: the
+    set holding it sorts first.  best = (size, None) is a bare bound that
+    only a strictly smaller set replaces.
     """
     counter[0] += 1
+    size = chosen.bit_count()
+    best_size, best_mask = best
     if not unhit:
-        return chosen
-    if chosen + 1 >= goal:
-        return goal
+        if size < best_size:
+            return size, chosen
+        if size == best_size and best_mask is not None:
+            d = chosen ^ best_mask
+            if chosen & d & -d:
+                return size, chosen
+        return best
+    if size + 1 > best_size:
+        return best
     lb = _disjoint_bound(unhit, allowed)
-    if lb is None or chosen + lb >= goal:
-        return goal
+    if lb is None or size + lb > best_size:
+        return best
+    if size + lb == best_size:
+        # Only a tie can still win; it must take a vertex of reach outside
+        # best_mask before missing one of best_mask's.
+        if best_mask is None:
+            return best
+        reach = chosen | allowed
+        fresh = reach & ~best_mask
+        if not fresh or best_mask & ~reach & (fresh & -fresh) - 1:
+            return best
     c = _pick_constraint(unhit, allowed)
     sub_allowed = allowed
     for v in bits(c & allowed):
         vbit = 1 << v
         sub_allowed &= ~vbit
         rest = [u for u in unhit if not u & vbit]
-        goal = _search(rest, chosen + 1, sub_allowed, goal, floor, counter)
-        if goal <= floor:
-            break
-    return goal
+        best = _search(rest, chosen | vbit, sub_allowed, best, counter)
+    return best
 
 
-def _bnb_size(inst: HittingInstance, cap: Optional[int]) -> tuple[Optional[int], int]:
-    """Optimal size and node count, or (None, nodes) when the cap is exceeded."""
-    if not inst.constraints:
-        return 0, 0
-    ub = len(greedy_code(inst))
-    limit = ub if cap is None else min(ub, cap)
+def _bnb(inst: HittingInstance, cap: Optional[int]):
+    """Lex-min optimal hitting set from one search, seeded by the greedy code."""
+    greedy = greedy_code(inst)
+    if cap is None or cap >= len(greedy):
+        seed = (len(greedy), mask_of(greedy))
+    else:
+        seed = (cap + 1, None)
     unhit = sorted(inst.constraints, key=lambda c: c.bit_count())
     counter = [0]
-    best = _search(unhit, 0, (1 << inst.universe) - 1, limit + 1, -1, counter)
-    if best > limit:
-        return None, counter[0]  # only reachable when the cap bites below the greedy size
-    return best, counter[0]
-
-
-# ------------------------------------------------------ canonical lex-min code
-
-def _above_mask(v: int, universe: int) -> int:
-    return ((1 << universe) - 1) & ~((1 << v + 1) - 1)
-
-
-def _lexmin_code(inst: HittingInstance, k: int) -> tuple[int, ...]:
-    """Lexicographically smallest hitting set of the (optimal) size k.
-
-    Fixes one position at a time with bounded feasibility probes; because
-    k is optimal, a prefix is extendable iff some size-k code starts with
-    it, so the greedy choice of the smallest feasible vertex is exact.
-    """
-    unhit = sorted(inst.constraints, key=lambda c: c.bit_count())
-    chosen: list[int] = []
-    probe_nodes = [0]  # not reported: SolverResult.nodes counts the size search only
-    start = 0
-    for pos in range(k):
-        budget = k - pos - 1
-        for v in range(start, inst.universe):
-            rest = [c for c in unhit if not c >> v & 1]
-            if _search(rest, 0, _above_mask(v, inst.universe), budget + 1, budget, probe_nodes) <= budget:
-                chosen.append(v)
-                unhit = rest
-                start = v + 1
-                break
-        else:
-            raise AssertionError(f"no lex-min extension at position {pos}; size {k} wrong?")
-    if unhit:
-        raise AssertionError("lex-min reconstruction left constraints unhit")
-    return tuple(chosen)
+    size, mask = _search(unhit, 0, (1 << inst.universe) - 1, seed, counter)
+    if mask is None:
+        return None, None, counter[0]
+    return size, tuple(bits(mask)), counter[0]
 
 
 # -------------------------------------------------------------- table + export

@@ -215,14 +215,14 @@ def test_condition_families_mean_what_they_say(seed, n):
 @given(st.integers(0, 2 ** 16 - 1), st.sampled_from([9, 10, 11, 13]))
 def test_verify_code_matches_definition(seed, n):
     rng = random.Random(seed)
-    # mixed bar densities so both the condition route and the fallback fire
+    # mixed bar densities, on both sides of the 4-bar-member threshold where the conditions are exact
     code = random_code(n, rng, bar_bias=rng.choice([0.15, 0.5, 0.85]))
     want = bf.is_idcode(bf.prism_adj(bf.cycle_adj(n)), 1, code.vertices())
     assert verify_code(code) == want
 
 
 def test_verify_code_fallback_branch():
-    # bar side empty: conditions alone would pass some of these, the fallback must not
+    # bar side empty: conditions alone would pass some of these, verify_code must not
     all_cycle = CodePair(9, (1 << 9) - 1, 0)
     g = complementary_prism(cycle(9))
     assert verify_code(all_cycle) == is_identifying_code(g, 1, all_cycle.vertices()).valid

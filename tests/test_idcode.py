@@ -120,19 +120,6 @@ def test_hitting_instance_reports_twins():
     assert inst.infeasible_pairs == closed_twins(g, 2)
 
 
-def test_reduce_flag_preserves_hitting_sets():
-    # P_4 has lots of nested constraints; the prism of C_5 has none at all.
-    for g, shrinks in ((path_graph(4), True), (complementary_prism(cycle(5)), False)):
-        full = hitting_instance(g, 1)
-        reduced = hitting_instance(g, 1, reduce=True)
-        assert set(reduced.constraints) <= set(full.constraints)
-        assert (len(reduced.constraints) < len(full.constraints)) == shrinks
-        rng = random.Random(3)
-        for _ in range(200):
-            mask = rng.getrandbits(g.order)
-            assert full.is_hitting(mask) == reduced.is_hitting(mask)
-
-
 def test_reduction_equivalence_exhaustive_small():
     graphs = [cycle(3), cycle(5), path_graph(4), complementary_prism(cycle(3))]
     for g in graphs:

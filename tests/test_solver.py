@@ -87,6 +87,22 @@ def test_strategies_agree_on_corpus():
             assert (a.status, a.size, a.code, a.witness) == (b.status, b.size, b.code, b.witness)
 
 
+def test_strategies_agree_at_every_cap():
+    # Caps below the greedy size seed bnb with a bare size bound; caps at
+    # and above the optimum exercise the lexicographic tie rule.
+    rng = random.Random(11)
+    corpus = [(random_graph(rng.randint(2, 10), rng), d) for _ in range(60) for d in (1, 2)]
+    corpus += [(complementary_prism(cycle(n)), 1) for n in range(5, 10)]
+    for g, d in corpus:
+        opt = solve_min_idcode(g, d, EXH).size
+        if opt is None:
+            continue
+        for cap in range(opt + 2):
+            a = solve_min_idcode(g, d, SolverOptions(strategy="exhaustive", size_cap=cap))
+            b = solve_min_idcode(g, d, SolverOptions(strategy="bnb", size_cap=cap))
+            assert (a.status, a.size, a.code) == (b.status, b.size, b.code), (g, d, cap)
+
+
 def test_optimum_matches_bruteforce():
     rng = random.Random(31)
     corpus = [cycle(4), cycle(7), path_graph(5)]
