@@ -203,8 +203,8 @@ def cmd_twins(args) -> int:
 
 
 def cmd_cwcheck(args) -> int:
-    if args.trials < 0:
-        raise ValueError("--trials must be nonnegative")
+    if args.trials < 1:
+        raise ValueError("--trials must be positive")
     rng = random.Random(args.seed)
     fixed = None
     if not args.target.isdigit():

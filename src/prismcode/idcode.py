@@ -109,9 +109,6 @@ class HittingInstance:
     def feasible(self) -> bool:
         return not self.infeasible_pairs
 
-    def is_hitting(self, code_mask: int) -> bool:
-        return all(code_mask & c for c in self.constraints)
-
 
 def hitting_instance(g: Graph, d: int) -> HittingInstance:
     """Build the domination + separation constraint system for (g, d)."""

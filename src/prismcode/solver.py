@@ -5,9 +5,13 @@ cardinality order (lexicographic within a cardinality) and is the oracle:
 its first hit is the lexicographically smallest optimal code.  The
 branch-and-bound strategy runs one search, `_search`, that orders hitting
 sets by size and breaks ties lexicographically, so it returns that same
-code; its node count covers all of its work.  That shared canonical
-answer is the determinism contract: strategies and repeated runs agree on
-everything except wall-clock time.
+code; its node count covers all of its work.  Each node makes one pass
+over its unhit constraints: a constraint with no allowed vertex left
+prunes the node, a greedy packing of pairwise-disjoint live parts (the
+allowed vertices of each constraint) bounds the vertices still needed,
+and the first narrowest live part is the one branched on.  That shared
+canonical answer is the determinism contract: strategies and repeated runs
+agree on everything except wall-clock time.
 """
 
 from __future__ import annotations
@@ -144,31 +148,6 @@ def _scan_size_pure(constraints: Sequence[int], universe: int, k: int):
 
 # ---------------------------------------------------------- branch and bound
 
-def _disjoint_bound(unhit: Sequence[int], allowed: int) -> Optional[int]:
-    """Greedy count of pairwise-disjoint live constraints; None if one is dead."""
-    used = 0
-    count = 0
-    for c in unhit:
-        if not c & allowed:
-            return None
-        if not c & used:
-            count += 1
-            used |= c
-    return count
-
-
-def _pick_constraint(unhit: Sequence[int], allowed: int) -> int:
-    best = unhit[0]
-    best_width = (best & allowed).bit_count()
-    for c in unhit[1:]:
-        width = (c & allowed).bit_count()
-        if width < best_width:
-            best, best_width = c, width
-            if width == 1:
-                break
-    return best
-
-
 def _search(
     unhit: list[int], chosen: int, allowed: int, best: tuple[int, Optional[int]], counter: list[int],
 ) -> tuple[int, Optional[int]]:
@@ -176,7 +155,11 @@ def _search(
 
     Sets compare by size, then by the lowest vertex where they differ: the
     set holding it sorts first.  best = (size, None) is a bare bound that
-    only a strictly smaller set replaces.
+    only a strictly smaller set replaces.  One pass over unhit finds a dead
+    constraint (no vertex in allowed), the packing bound (pairwise-disjoint
+    live parts c & allowed each need a vertex of their own, since every
+    vertex added comes from allowed) and the first narrowest live part,
+    whose vertices are the children, lowest first.
     """
     counter[0] += 1
     size = chosen.bit_count()
@@ -191,8 +174,20 @@ def _search(
         return best
     if size + 1 > best_size:
         return best
-    lb = _disjoint_bound(unhit, allowed)
-    if lb is None or size + lb > best_size:
+    lb = used = pick = 0
+    pick_width = allowed.bit_count() + 1
+    for c in unhit:
+        live = c & allowed
+        if not live:
+            return best
+        if not live & used:
+            lb += 1
+            used |= live
+        if pick_width > 1:
+            width = live.bit_count()
+            if width < pick_width:
+                pick, pick_width = live, width
+    if size + lb > best_size:
         return best
     if size + lb == best_size:
         # Only a tie can still win; it must take a vertex of reach outside
@@ -203,11 +198,11 @@ def _search(
         fresh = reach & ~best_mask
         if not fresh or best_mask & ~reach & (fresh & -fresh) - 1:
             return best
-    c = _pick_constraint(unhit, allowed)
     sub_allowed = allowed
-    for v in bits(c & allowed):
-        vbit = 1 << v
-        sub_allowed &= ~vbit
+    while pick:
+        vbit = pick & -pick
+        pick ^= vbit
+        sub_allowed ^= vbit
         rest = [u for u in unhit if not u & vbit]
         best = _search(rest, chosen | vbit, sub_allowed, best, counter)
     return best

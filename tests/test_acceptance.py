@@ -201,7 +201,7 @@ def test_criterion_8_hitting_set_oracle_equivalence():
                 chosen = {u for u in range(g.order) if bits >> u & 1}
                 views = [frozenset(b & chosen) for b in balls]
                 definitional = all(views) and len(set(views)) == g.order
-                hitting = inst.feasible and inst.is_hitting(bits)
+                hitting = inst.feasible and all(bits & c for c in inst.constraints)
                 ok = ok and definitional == hitting
                 subsets += 1
     _report(8, "hitting-set-oracle-equivalence", ok, f"{subsets} subset checks")

@@ -209,8 +209,9 @@ def test_cwcheck_random_and_file(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["ok"] is True and len(payload["trials"]) == 5
     assert all(row["order"] == 6 for row in payload["trials"])
-    code, out, err = run(capsys, "cwcheck", "5", "--trials", "-3")
-    assert code == 64 and out == "" and "--trials" in err
+    for trials in ("0", "-3"):
+        code, out, err = run(capsys, "cwcheck", "5", "--trials", trials)
+        assert code == 64 and out == "" and "--trials must be positive" in err
 
 
 def test_scan_text_and_json(capsys):

@@ -127,7 +127,7 @@ def test_reduction_equivalence_exhaustive_small():
             adj = bf.to_adj(g)
             inst = hitting_instance(g, d)
             for bits in range(1 << g.order):
-                ok = inst.feasible and inst.is_hitting(bits)
+                ok = inst.feasible and all(bits & c for c in inst.constraints)
                 assert ok == bf.is_idcode(adj, d, [u for u in range(g.order) if bits >> u & 1])
 
 
@@ -185,4 +185,4 @@ def test_instance_feasibility_matches_twins(seed):
     assert list(inst.infeasible_pairs) == bf.twins(bf.to_adj(g), d)
     if inst.feasible:
         full = mask_of(range(g.order))
-        assert inst.is_hitting(full)
+        assert all(full & c for c in inst.constraints)

@@ -10,9 +10,10 @@ from prismcode.graphs import (
     Graph,
     complementary_prism,
     cycle,
+    mask_of,
     random_graph,
 )
-from prismcode.idcode import greedy_code, hitting_instance, is_identifying_code
+from prismcode.idcode import HittingInstance, greedy_code, hitting_instance, is_identifying_code
 from prismcode.solver import (
     CAP_EXCEEDED,
     INFEASIBLE,
@@ -63,7 +64,10 @@ def test_prism_c9_frozen_optimum():
         assert not is_identifying_code(g, 1, rest).valid
 
 
-IC_VALUES = {3: 4, 4: 4, 5: 4, 6: 5, 7: 6, 8: 6, 9: 7, 10: 8, 11: 8, 12: 10}
+IC_VALUES = {
+    3: 4, 4: 4, 5: 4, 6: 5, 7: 6, 8: 6, 9: 7, 10: 8, 11: 8, 12: 10,
+    13: 10, 14: 11, 15: 12, 16: 13,
+}
 
 
 @pytest.mark.parametrize("n", sorted(IC_VALUES))
@@ -101,6 +105,24 @@ def test_strategies_agree_at_every_cap():
             a = solve_min_idcode(g, d, SolverOptions(strategy="exhaustive", size_cap=cap))
             b = solve_min_idcode(g, d, SolverOptions(strategy="bnb", size_cap=cap))
             assert (a.status, a.size, a.code) == (b.status, b.size, b.code), (g, d, cap)
+
+
+def test_strategies_agree_on_raw_hitting_instances():
+    # Random constraint systems overlap in ways that graph-derived ones
+    # rarely do, which exercises the packing bound on live parts.
+    from prismcode.solver import _bnb, _exhaustive
+
+    rng = random.Random(17)
+    for _ in range(250):
+        universe = rng.randint(1, 12)
+        constraints = sorted({
+            mask_of(rng.sample(range(universe), rng.randint(1, universe)))
+            for _ in range(rng.randint(1, 3 * universe))
+        })
+        inst = HittingInstance(universe, tuple(constraints), ())
+        opt = _exhaustive(inst, None)[0]
+        for cap in range(opt + 2):
+            assert _bnb(inst, cap)[:2] == _exhaustive(inst, cap)[:2], (inst, cap)
 
 
 def test_optimum_matches_bruteforce():
