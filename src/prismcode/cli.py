@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .cycleprism import CodePair, check_conditions, pattern_code, upper_bound
+from .cycleprism import CodePair, check_conditions, pattern_code
 from .graphs import (
     Graph,
     GraphFormatError,
@@ -238,13 +238,7 @@ def cmd_cwcheck(args) -> int:
 def cmd_scan(args) -> int:
     if args.start < 3 or args.stop < args.start:
         raise GraphFormatError("need 3 <= start <= stop")
-    rows = []
-    for n in range(args.start, args.stop + 1):
-        cap = args.cap
-        if cap is None and args.d == 1 and n >= 9:
-            cap = upper_bound(n)[0]  # a code of this size certifiably exists
-        opts = SolverOptions(strategy=args.strategy, size_cap=cap)
-        rows.extend(ic_table([n], args.d, opts))
+    rows = ic_table(range(args.start, args.stop + 1), args.d, SolverOptions(args.strategy, args.cap))
     indexing_for = lambda n: PrismIndexing(n)
     if args.format == "json":
         print(json.dumps([

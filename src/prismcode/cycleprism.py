@@ -166,8 +166,10 @@ def condition_masks(n: int) -> tuple[Condition, ...]:
 
     Each mask lists the positions (as prism vertices) at least one of
     which must be in the code.  Bar-pair conditions run over all ordered
-    pairs at cycle distance other than 0 and 2; the pairs two steps apart
-    get their own tighter family.
+    pairs (a, b) with b - a other than 0 and 2 mod n; the pairs two steps
+    apart get their own tighter family.  The offset n - 2 instances stay in
+    BAR_SEP although each one is implied by the tighter instance of the
+    same pair, whose mask it contains.
     """
     _require_scope(n)
     x = lambda a: 1 << a % n

@@ -9,6 +9,10 @@ The same requirements read as a hitting-set instance: one constraint per
 vertex (its ball, for domination) and one per vertex pair (the symmetric
 difference of their balls, for separation).  A pair whose balls coincide
 yields an empty constraint, i.e. a certificate that no code exists.
+
+`hits_all` is the one vectorized form of "this vertex mask meets every
+constraint", applied to many uint64 masks at once; the sweeps and the
+exhaustive solver both use it.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
+
+import numpy as np
 
 from .graphs import BallTable, Graph, PrismIndexing, ball_table, bits, mask_of
 
@@ -108,6 +114,21 @@ class HittingInstance:
     @property
     def feasible(self) -> bool:
         return not self.infeasible_pairs
+
+
+def hits_all(masks: np.ndarray, constraints: Iterable[int]) -> np.ndarray:
+    """True where the uint64 mask meets every constraint bitmask.
+
+    Whether any mask survives is asked only after constraints 1, 2, 4,
+    8, ...: a block that empties stops within twice the constraints that
+    emptied it, and a block that never does pays log2 of their number.
+    """
+    ok = np.ones(masks.shape, dtype=bool)
+    for i, c in enumerate(constraints, 1):
+        ok &= (masks & np.uint64(c)) != 0
+        if not i & (i - 1) and not ok.any():
+            break
+    return ok
 
 
 def hitting_instance(g: Graph, d: int) -> HittingInstance:

@@ -2,31 +2,33 @@
 
 Two strategies, one answer.  The exhaustive strategy walks subsets in
 cardinality order (lexicographic within a cardinality) and is the oracle:
-its first hit is the lexicographically smallest optimal code.  The
-branch-and-bound strategy runs one search, `_search`, that orders hitting
-sets by size and breaks ties lexicographically, so it returns that same
-code; its node count covers all of its work.  Each node makes one pass
-over its unhit constraints: a constraint with no allowed vertex left
-prunes the node, a greedy packing of pairwise-disjoint live parts (the
-allowed vertices of each constraint) bounds the vertices still needed,
-and the first narrowest live part is the one branched on.  That shared
-canonical answer is the determinism contract: strategies and repeated runs
-agree on everything except wall-clock time.
+its first hit is the lexicographically smallest optimal code.  It tests
+blocks of subsets as uint64 masks with `idcode.hits_all`, so it takes
+graphs of order at most 63.  The branch-and-bound strategy runs one
+search, `_search`, that orders hitting sets by size and breaks ties
+lexicographically, so it returns that same code; its node count covers
+all of its work.  Each node makes one pass over its unhit constraints: a
+constraint with no allowed vertex left prunes the node, a greedy packing
+of pairwise-disjoint live parts (the allowed vertices of each constraint)
+bounds the vertices still needed, and the first narrowest live part is
+the one branched on.  That shared canonical answer is the determinism
+contract: strategies and repeated runs agree on everything except
+wall-clock time.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, islice
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .cycleprism import lower_bound, pattern_code, upper_bound
 from .graphs import Graph, PrismIndexing, bits, complementary_prism, cycle, mask_of
-from .idcode import HittingInstance, greedy_code, hitting_instance, vertex_label
+from .idcode import HittingInstance, greedy_code, hitting_instance, hits_all, vertex_label
 
 STRATEGIES = ("exhaustive", "bnb")
 
@@ -98,52 +100,21 @@ def solve_min_idcode(g: Graph, d: int, options: Optional[SolverOptions] = None) 
 def _exhaustive(inst: HittingInstance, cap: Optional[int]):
     """First hitting set in (cardinality, lex) order; nodes = subsets tested."""
     universe = inst.universe
+    if universe > 63:
+        raise ValueError("the exhaustive strategy takes graphs of order at most 63; use bnb")
     constraints = sorted(inst.constraints, key=lambda c: c.bit_count())
     top = universe if cap is None else min(cap, universe)
     nodes = 0
     for k in range(top + 1):
-        if universe <= 63:
-            hit, tested = _scan_size_numpy(constraints, universe, k)
-        else:
-            hit, tested = _scan_size_pure(constraints, universe, k)
-        nodes += tested
-        if hit is not None:
-            return k, tuple(hit), nodes
+        stream = combinations(range(universe), k)
+        while block := list(islice(stream, _BLOCK)):
+            arr = np.array(block, dtype=np.uint64).reshape(len(block), k)
+            masks = np.bitwise_or.reduce(np.left_shift(np.uint64(1), arr), axis=1)
+            hit = np.flatnonzero(hits_all(masks, constraints))
+            if len(hit):
+                return k, block[hit[0]], nodes + int(hit[0]) + 1
+            nodes += len(block)
     return None, None, nodes
-
-
-def _scan_size_numpy(constraints: Sequence[int], universe: int, k: int):
-    """Vectorized lexicographic scan over all size-k subsets, block by block."""
-    tested = 0
-    stream = combinations(range(universe), k)
-    while True:
-        block = list(islice(stream, _BLOCK))
-        if not block:
-            return None, tested
-        arr = np.array(block, dtype=np.uint64).reshape(len(block), k)
-        masks = np.bitwise_or.reduce(np.left_shift(np.uint64(1), arr), axis=1)
-        ok = np.ones(len(block), dtype=bool)
-        for c in constraints:
-            ok &= (masks & np.uint64(c)) != 0
-            if not ok.any():
-                break
-        idx = np.nonzero(ok)[0]
-        if len(idx):
-            first = int(idx[0])
-            return block[first], tested + first + 1
-        tested += len(block)
-
-
-def _scan_size_pure(constraints: Sequence[int], universe: int, k: int):
-    tested = 0
-    for combo in combinations(range(universe), k):
-        tested += 1
-        mask = 0
-        for v in combo:
-            mask |= 1 << v
-        if all(mask & c for c in constraints):
-            return combo, tested
-    return None, tested
 
 
 # ---------------------------------------------------------- branch and bound
@@ -240,19 +211,23 @@ class IcRow:
 def ic_table(n_values: Iterable[int], d: int = 1, options: Optional[SolverOptions] = None) -> tuple[IcRow, ...]:
     """Solve the prism of C_n for each n; attach certified bounds when they apply.
 
-    For d = 1 and n >= 9 an optimal size outside [lower_bound, exact upper
-    bound] would falsify the implementation, so it raises rather than
-    returning a row.
+    For d = 1 and n >= 9 a code of the exact upper bound's size exists, so
+    with no size cap in the options the solve is capped there.  An optimal
+    size outside [lower_bound, exact upper bound] would falsify the
+    implementation, so it raises rather than returning a row.
     """
+    opts = options or SolverOptions()
     rows = []
     for n in n_values:
         g = complementary_prism(cycle(n))
-        res = solve_min_idcode(g, d, options)
         lower = upper = psize = None
         if d == 1 and n >= 9:
             lower = lower_bound(n)
             upper = upper_bound(n)[0]
             psize = pattern_code(n).size
+        cap = upper if opts.size_cap is None else opts.size_cap
+        res = solve_min_idcode(g, d, replace(opts, size_cap=cap))
+        if upper is not None:
             if res.status == OPTIMAL and not lower <= res.size <= upper:
                 raise AssertionError(f"optimum {res.size} outside certified bounds at n={n}")
             if res.status == INFEASIBLE:

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cycleprism import condition_masks, _prism
-from .idcode import hitting_instance
+from .idcode import hits_all, hitting_instance
 
 
 def _check_n(n: int) -> None:
@@ -42,16 +42,9 @@ def random_codes(n: int, count: int, seed: int) -> np.ndarray:
     return rng.integers(0, 1 << 2 * n, size=count, dtype=np.uint64)
 
 
-def _hits_all(codes: np.ndarray, masks) -> np.ndarray:
-    ok = np.ones(codes.shape, dtype=bool)
-    for m in masks:
-        ok &= (codes & np.uint64(m)) != 0
-    return ok
-
-
 def condition_satisfied(n: int, codes: np.ndarray) -> np.ndarray:
     """True where the code meets every condition instance."""
-    return _hits_all(codes, [c.mask for c in condition_masks(n)])
+    return hits_all(codes, [c.mask for c in condition_masks(n)])
 
 
 @lru_cache(maxsize=32)
@@ -65,7 +58,7 @@ def _definitional_masks(n: int) -> tuple[int, ...]:
 def definition_satisfied(n: int, codes: np.ndarray) -> np.ndarray:
     """True where the code is an identifying code by the ball definition."""
     _check_n(n)
-    return _hits_all(codes, _definitional_masks(n))
+    return hits_all(codes, _definitional_masks(n))
 
 
 def bar_counts(n: int, codes: np.ndarray) -> np.ndarray:

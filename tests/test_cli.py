@@ -1,6 +1,7 @@
 """Command line behavior: formats, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -144,6 +145,16 @@ def test_solve_infeasible_exit_2(capsys, tmp_path):
     assert code == 2
     payload = json.loads(out)
     assert payload["status"] == "infeasible" and payload["witness"] == ["vbar1", "vbar2"]
+
+
+def test_solve_exhaustive_order_limit(capsys, tmp_path):
+    c64 = tmp_path / "c64.txt"
+    main(["gen", "cycle", "64", "-o", str(c64)])
+    start = time.perf_counter()
+    code, out, err = run(capsys, "solve", str(c64), "--strategy", "exhaustive")
+    assert time.perf_counter() - start < 1.0
+    assert code == 64 and out == ""
+    assert "the exhaustive strategy takes graphs of order at most 63; use bnb" in err
 
 
 def test_solve_strategies_and_workers_agree(capsys, prism9):

@@ -145,6 +145,17 @@ def test_condition_count():
         }
 
 
+def test_offset_n_minus_2_bar_sep_implied_by_distance2_family():
+    for n in range(9, 15):
+        conds = condition_masks(n)
+        tight = {c.indices: c.mask for c in conds if c.family == BAR_SEP_DISTANCE2}
+        weak = [c for c in conds if c.family == BAR_SEP and (c.indices[1] - c.indices[0]) % n == n - 2]
+        assert len(weak) == n
+        for c in weak:
+            mask = tight[c.indices[1], c.indices[0]]
+            assert c.mask & mask == mask
+
+
 def test_pattern_meets_all_conditions():
     for n in (9, 14, 23):
         assert check_conditions(pattern_code(n)).ok

@@ -4,6 +4,7 @@ import json
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +22,7 @@ from prismcode.idcode import (
     InfeasibleInstanceError,
     greedy_code,
     hitting_instance,
+    hits_all,
     is_identifying_code,
     vertex_label,
 )
@@ -129,6 +131,53 @@ def test_reduction_equivalence_exhaustive_small():
             for bits in range(1 << g.order):
                 ok = inst.feasible and all(bits & c for c in inst.constraints)
                 assert ok == bf.is_idcode(adj, d, [u for u in range(g.order) if bits >> u & 1])
+
+
+def _scalar_hits_all(masks, constraints):
+    return [all(int(m) & c for c in constraints) for m in masks]
+
+
+def test_hits_all_matches_scalar_on_random_masks():
+    rng = np.random.default_rng(3)
+    masks = rng.integers(0, 2 ** 64, size=400, dtype=np.uint64)
+    for count in range(25):
+        constraints = [
+            mask_of(rng.choice(64, size=rng.integers(1, 7), replace=False).tolist())
+            for _ in range(count)
+        ]
+        assert hits_all(masks, constraints).tolist() == _scalar_hits_all(masks, constraints)
+
+
+def test_hits_all_empty_constraint_list():
+    masks = np.array([0, 1, 2 ** 64 - 1], dtype=np.uint64)
+    assert hits_all(masks, []).tolist() == [True, True, True]
+    assert hits_all(np.zeros(0, dtype=np.uint64), [1, 2]).tolist() == []
+
+
+@pytest.mark.parametrize("last", [3, 5, 9])
+def test_hits_all_stops_at_next_checkpoint(last):
+    # Mask t holds bits 0..t and constraint i is bit i - 1, so mask t dies
+    # at constraint t + 2 and the last survivor at constraint `last`, between
+    # the checkpoints 1, 2, 4, 8, 16 where the block is found empty.
+    masks = np.array([(1 << t + 1) - 1 for t in range(last - 1)], dtype=np.uint64)
+    constraints = [1 << i for i in range(20)]
+    rest = iter(constraints)
+    assert hits_all(masks, rest).tolist() == _scalar_hits_all(masks, constraints) == [False] * (last - 1)
+    checkpoint = 1 << (last - 1).bit_length()
+    assert len(list(rest)) == len(constraints) - checkpoint
+
+
+def test_hits_all_blocks_that_never_empty():
+    rng = np.random.default_rng(4)
+    constraints = [int(c) for c in rng.integers(1, 2 ** 64, size=37, dtype=np.uint64)]
+    masks = np.concatenate([
+        np.array([2 ** 64 - 1], dtype=np.uint64),
+        rng.integers(0, 2 ** 64, size=200, dtype=np.uint64),
+    ])
+    rest = iter(constraints)
+    got = hits_all(masks, rest)
+    assert got[0] and got.tolist() == _scalar_hits_all(masks, constraints)
+    assert next(rest, None) is None
 
 
 def test_supersets_of_codes_are_codes():

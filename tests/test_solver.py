@@ -13,6 +13,7 @@ from prismcode.graphs import (
     mask_of,
     random_graph,
 )
+from prismcode import solver
 from prismcode.idcode import HittingInstance, greedy_code, hitting_instance, is_identifying_code
 from prismcode.solver import (
     CAP_EXCEEDED,
@@ -216,13 +217,17 @@ def test_hitting_export_golden():
     assert twins == "c twin 1 2\nc twin 1 3\nc twin 2 3\nh 3 1\n1 2 3\n"
 
 
-def test_pure_python_scan_agrees_with_numpy():
-    from prismcode.solver import _scan_size_numpy, _scan_size_pure
-
-    inst = hitting_instance(complementary_prism(cycle(5)), 1)
-    constraints = sorted(inst.constraints, key=lambda c: c.bit_count())
-    for k in (2, 3, 4):
-        np_hit, np_tested = _scan_size_numpy(constraints, inst.universe, k)
-        py_hit, py_tested = _scan_size_pure(constraints, inst.universe, k)
-        assert np_tested == py_tested
-        assert (tuple(np_hit) if np_hit is not None else None) == py_hit
+@pytest.mark.parametrize("block", [7, solver._BLOCK])
+def test_exhaustive_matches_combination_walk(monkeypatch, block):
+    # nodes is the 1-based position of the first hitting set in (size, lex)
+    # order; a block of 7 splits every size over many partial blocks.
+    monkeypatch.setattr(solver, "_BLOCK", block)
+    corpus = [complementary_prism(cycle(5)), path_graph(7), random_graph(9, random.Random(2))]
+    for g in corpus:
+        inst = hitting_instance(g, 1)
+        walk = (c for k in range(g.order + 1) for c in combinations(range(g.order), k))
+        nodes, code = next(
+            (i, c) for i, c in enumerate(walk, 1) if all(mask_of(c) & x for x in inst.constraints)
+        )
+        res = solve_min_idcode(g, 1, EXH)
+        assert (res.size, res.code, res.nodes) == (len(code), code, nodes)
