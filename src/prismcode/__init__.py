@@ -3,9 +3,10 @@
 Library layout: graphs (bitset graphs and prism constructions), idcode
 (definitional verification and the hitting-set reduction), cycleprism
 (the position-condition system, the periodic pattern, bounds, and the
-local exchange), sweep (vectorized whole-space cross-checks), solver
-(exact optimization), layout (class-count doubling on layout trees),
-cli (the prismcode command).
+local exchange), sweep (vectorized whole-space cross-checks), transfer
+(the column transfer DP's certified lower bound), solver (exact
+optimization), layout (class-count doubling on layout trees), cli (the
+prismcode command).
 """
 
 from .cycleprism import (
@@ -58,6 +59,7 @@ from .solver import (
     ic_table,
     solve_min_idcode,
 )
+from .transfer import condition_floor
 
 __version__ = "0.1.0"
 

@@ -17,10 +17,11 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .cycleprism import CodePair, check_conditions, pattern_code
+from .cycleprism import CodePair, check_conditions, pattern_code, prism_cycle_length
 from .graphs import (
     Graph,
     GraphFormatError,
+    MAX_ORDER,
     PrismIndexing,
     closed_twins,
     complementary_prism,
@@ -57,11 +58,8 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 def _prism_indexing(g: Graph) -> Optional[PrismIndexing]:
     """Recognize complementary prisms of cycles, for friendly vertex labels."""
-    if g.order % 2 == 0 and g.order >= 6:
-        n = g.order // 2
-        if g == complementary_prism(cycle(n)):
-            return PrismIndexing(n)
-    return None
+    n = prism_cycle_length(g)
+    return None if n is None else PrismIndexing(n)
 
 
 def _label(v: int, indexing: Optional[PrismIndexing]) -> str:
@@ -100,6 +98,9 @@ def _parse_code_file(text: str, g: Graph, how: str) -> list[int]:
 # ------------------------------------------------------------------ commands
 
 def cmd_gen(args) -> int:
+    order = args.n if args.kind == "cycle" else 2 * args.n
+    if order > MAX_ORDER:
+        raise GraphFormatError(f"gen {args.kind} {args.n} has order {order}, above the limit of {MAX_ORDER}")
     if args.kind == "cycle":
         text = format_graph(cycle(args.n))
     else:
@@ -209,8 +210,8 @@ def cmd_cwcheck(args) -> int:
     fixed = None
     if not args.target.isdigit():
         fixed = parse_graph(_read(args.target))
-    elif int(args.target) < 1:
-        raise GraphFormatError("order bound must be at least 1")
+    elif not 1 <= int(args.target) <= MAX_ORDER:
+        raise GraphFormatError(f"order bound must be between 1 and {MAX_ORDER}")
     rows = []
     for trial in range(args.trials):
         if fixed is not None:

@@ -216,6 +216,18 @@ def _prism(n: int) -> Graph:
     return complementary_prism(cycle(n))
 
 
+def prism_cycle_length(g: Graph) -> Optional[int]:
+    """n when g is the complementary prism of C_n (n >= 3) in the package's indexing, else None.
+
+    The prism of C_n has n(n+1)/2 edges, so other graphs are turned away
+    before the cached prism is even built.
+    """
+    n = g.order // 2
+    if g.order % 2 or n < 3 or g.edge_count != n * (n + 1) // 2 or g != _prism(n):
+        return None
+    return n
+
+
 @lru_cache(maxsize=64)
 def _prism_balls(n: int) -> BallTable:
     return ball_table(_prism(n), 1)

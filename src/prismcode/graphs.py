@@ -15,6 +15,12 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 
+# Largest graph order that parse_graph reads and `prismcode gen` writes.
+# Ball tables grow with order^2 bits and hitting-set instances with
+# order^3, so a larger order is refused before anything is allocated.
+MAX_ORDER = 1024
+
+
 class GraphFormatError(ValueError):
     """Raised when graph or code text input does not parse."""
 
@@ -246,7 +252,10 @@ def format_graph(g: Graph, comments: Sequence[str] = ()) -> str:
 
 
 def parse_graph(text: str) -> Graph:
-    """Inverse of format_graph; "c" comment lines and blank lines are skipped."""
+    """Inverse of format_graph; "c" comment lines and blank lines are skipped.
+
+    Orders above MAX_ORDER are refused at the p line.
+    """
     order: Optional[int] = None
     declared = 0
     edges: list[tuple[int, int]] = []
@@ -261,6 +270,8 @@ def parse_graph(text: str) -> Graph:
             if len(fields) != 3 or not all(f.isdigit() for f in fields[1:]):
                 raise GraphFormatError(f"line {lineno}: expected 'p <order> <edges>'")
             order, declared = int(fields[1]), int(fields[2])
+            if order > MAX_ORDER:
+                raise GraphFormatError(f"line {lineno}: order {order} exceeds the limit of {MAX_ORDER}")
         elif fields[0] == "e":
             if order is None:
                 raise GraphFormatError(f"line {lineno}: edge before p line")

@@ -11,9 +11,13 @@ all of its work.  Each node makes one pass over its unhit constraints: a
 constraint with no allowed vertex left prunes the node, a greedy packing
 of pairwise-disjoint live parts (the allowed vertices of each constraint)
 bounds the vertices still needed, and the first narrowest live part is
-the one branched on.  That shared canonical answer is the determinism
-contract: strategies and repeated runs agree on everything except
-wall-clock time.
+the one branched on.  On the prism of C_n with n >= 9 at d = 1, the
+search also starts from the certified floor of `transfer.condition_floor`,
+the least size of a code pair meeting the necessary condition system:
+once the incumbent reaches it, only lexicographically smaller ties are
+searched.  Other inputs, and the exhaustive strategy, get no floor.
+That shared canonical answer is the determinism contract: strategies and
+repeated runs agree on everything except wall-clock time.
 """
 
 from __future__ import annotations
@@ -26,9 +30,10 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .cycleprism import lower_bound, pattern_code, upper_bound
-from .graphs import Graph, PrismIndexing, bits, complementary_prism, cycle, mask_of
+from .cycleprism import _prism, lower_bound, pattern_code, prism_cycle_length, upper_bound
+from .graphs import Graph, PrismIndexing, bits, mask_of
 from .idcode import HittingInstance, greedy_code, hitting_instance, hits_all, vertex_label
+from .transfer import condition_floor
 
 STRATEGIES = ("exhaustive", "bnb")
 
@@ -88,11 +93,20 @@ def solve_min_idcode(g: Graph, d: int, options: Optional[SolverOptions] = None) 
             INFEASIBLE, witness=inst.infeasible_pairs[0],
             elapsed=time.perf_counter() - start,
         )
-    size, code, nodes = (_exhaustive if opts.strategy == "exhaustive" else _bnb)(inst, opts.size_cap)
+    if opts.strategy == "exhaustive":
+        size, code, nodes = _exhaustive(inst, opts.size_cap)
+    else:
+        size, code, nodes = _bnb(inst, opts.size_cap, _prism_floor(g, d))
     elapsed = time.perf_counter() - start
     if size is None:
         return SolverResult(CAP_EXCEEDED, nodes=nodes, elapsed=elapsed)
     return SolverResult(OPTIMAL, size=size, code=code, nodes=nodes, elapsed=elapsed)
+
+
+def _prism_floor(g: Graph, d: int) -> int:
+    """The transfer floor when g is the prism of C_n, n >= 9, at d = 1; else 0."""
+    n = prism_cycle_length(g) if d == 1 and g.order >= 18 else None
+    return 0 if n is None else condition_floor(n)
 
 
 # ---------------------------------------------------------------- exhaustive
@@ -121,6 +135,7 @@ def _exhaustive(inst: HittingInstance, cap: Optional[int]):
 
 def _search(
     unhit: list[int], chosen: int, allowed: int, best: tuple[int, Optional[int]], counter: list[int],
+    floor: int,
 ) -> tuple[int, Optional[int]]:
     """Best (size, mask) among best and the hitting sets chosen | S, S within allowed.
 
@@ -130,7 +145,9 @@ def _search(
     constraint (no vertex in allowed), the packing bound (pairwise-disjoint
     live parts c & allowed each need a vertex of their own, since every
     vertex added comes from allowed) and the first narrowest live part,
-    whose vertices are the children, lowest first.
+    whose vertices are the children, lowest first.  floor is a lower
+    bound on every hitting set, so floor - size bounds the vertices still
+    needed as well.
     """
     counter[0] += 1
     size = chosen.bit_count()
@@ -158,6 +175,7 @@ def _search(
             width = live.bit_count()
             if width < pick_width:
                 pick, pick_width = live, width
+    lb = max(lb, floor - size)
     if size + lb > best_size:
         return best
     if size + lb == best_size:
@@ -175,12 +193,16 @@ def _search(
         pick ^= vbit
         sub_allowed ^= vbit
         rest = [u for u in unhit if not u & vbit]
-        best = _search(rest, chosen | vbit, sub_allowed, best, counter)
+        best = _search(rest, chosen | vbit, sub_allowed, best, counter, floor)
     return best
 
 
-def _bnb(inst: HittingInstance, cap: Optional[int]):
-    """Lex-min optimal hitting set from one search, seeded by the greedy code."""
+def _bnb(inst: HittingInstance, cap: Optional[int], floor: int):
+    """Lex-min optimal hitting set from one search, seeded by the greedy code.
+
+    floor must not exceed the optimum; the search starts from it as a
+    lower bound on every hitting set.
+    """
     greedy = greedy_code(inst)
     if cap is None or cap >= len(greedy):
         seed = (len(greedy), mask_of(greedy))
@@ -188,7 +210,7 @@ def _bnb(inst: HittingInstance, cap: Optional[int]):
         seed = (cap + 1, None)
     unhit = sorted(inst.constraints, key=lambda c: c.bit_count())
     counter = [0]
-    size, mask = _search(unhit, 0, (1 << inst.universe) - 1, seed, counter)
+    size, mask = _search(unhit, 0, (1 << inst.universe) - 1, seed, counter, floor)
     if mask is None:
         return None, None, counter[0]
     return size, tuple(bits(mask)), counter[0]
@@ -219,7 +241,7 @@ def ic_table(n_values: Iterable[int], d: int = 1, options: Optional[SolverOption
     opts = options or SolverOptions()
     rows = []
     for n in n_values:
-        g = complementary_prism(cycle(n))
+        g = _prism(n)
         lower = upper = psize = None
         if d == 1 and n >= 9:
             lower = lower_bound(n)

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from prismcode.cli import main
-from prismcode.graphs import complementary_prism, cycle, parse_graph
+from prismcode.graphs import MAX_ORDER, complementary_prism, cycle, parse_graph
 
 import bruteforce as bf
 
@@ -205,6 +205,25 @@ def test_twins_exit_codes(capsys, tmp_path):
     main(["gen", "cycle", "9", "-o", str(c9)])
     code, out, _ = run(capsys, "twins", str(c9))
     assert code == 0 and "count 0" in out
+
+
+def test_order_limit_refused_before_allocating(capsys, tmp_path):
+    huge = tmp_path / "huge.txt"
+    huge.write_text("p 100000000 0\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "twins", str(huge))
+    assert time.perf_counter() - start < 1.0
+    assert code == 64 and out == ""
+    assert f"order 100000000 exceeds the limit of {MAX_ORDER}" in err
+    edge = tmp_path / "edge.txt"
+    edge.write_text(f"p {MAX_ORDER} 0\n")
+    assert parse_graph(edge.read_text()).order == MAX_ORDER
+    for argv in (["gen", "cycle", str(MAX_ORDER + 1)], ["gen", "prism", str(MAX_ORDER // 2 + 1)],
+                 ["cwcheck", str(MAX_ORDER + 1), "--trials", "1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 64 and out == "" and str(MAX_ORDER) in err, argv
+    code, out, _ = run(capsys, "gen", "prism", str(MAX_ORDER // 2))
+    assert code == 0 and out.startswith(f"c complementary prism of the cycle on {MAX_ORDER // 2}")
 
 
 def test_cwcheck_random_and_file(capsys, tmp_path):

@@ -29,10 +29,11 @@ from prismcode.cycleprism import (
     exchange,
     lower_bound,
     pattern_code,
+    prism_cycle_length,
     upper_bound,
     verify_code,
 )
-from prismcode.graphs import complementary_prism, cycle
+from prismcode.graphs import Graph, complementary_prism, cycle
 from prismcode.idcode import is_identifying_code
 
 import bruteforce as bf
@@ -154,6 +155,19 @@ def test_offset_n_minus_2_bar_sep_implied_by_distance2_family():
         for c in weak:
             mask = tight[c.indices[1], c.indices[0]]
             assert c.mask & mask == mask
+
+
+def test_prism_cycle_length_recognizes_only_prisms_of_cycles():
+    for n in range(3, 13):
+        assert prism_cycle_length(complementary_prism(cycle(n))) == n
+        assert prism_cycle_length(cycle(2 * n)) is None
+    assert prism_cycle_length(cycle(9)) is None  # odd order
+    # Same order and edge count, other edges: a 21-edge graph on 12 vertices.
+    g = Graph.from_edges(12, [(u, v) for u in range(7) for v in range(u + 1, 7)])
+    assert prism_cycle_length(g) is None
+    prism = complementary_prism(cycle(6))
+    flipped = Graph.from_edges(12, [(u ^ 1 if u < 2 else u, v ^ 1 if v < 2 else v) for u, v in prism.edges()])
+    assert flipped != prism and prism_cycle_length(flipped) is None
 
 
 def test_pattern_meets_all_conditions():

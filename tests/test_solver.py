@@ -3,18 +3,20 @@
 import json
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from prismcode.graphs import (
     Graph,
+    PrismIndexing,
     complementary_prism,
     cycle,
     mask_of,
     random_graph,
 )
 from prismcode import solver
-from prismcode.idcode import HittingInstance, greedy_code, hitting_instance, is_identifying_code
+from prismcode.idcode import HittingInstance, greedy_code, hitting_instance, is_identifying_code, vertex_label
 from prismcode.solver import (
     CAP_EXCEEDED,
     INFEASIBLE,
@@ -25,6 +27,7 @@ from prismcode.solver import (
     ic_table,
     solve_min_idcode,
 )
+from prismcode.transfer import condition_floor
 
 import bruteforce as bf
 
@@ -122,8 +125,15 @@ def test_strategies_agree_on_raw_hitting_instances():
         })
         inst = HittingInstance(universe, tuple(constraints), ())
         opt = _exhaustive(inst, None)[0]
-        for cap in range(opt + 2):
-            assert _bnb(inst, cap)[:2] == _exhaustive(inst, cap)[:2], (inst, cap)
+        want = [_exhaustive(inst, cap)[:2] for cap in range(opt + 2)]
+        # Every valid floor gives the same answer; a cap below the floor
+        # is refused at the root.
+        for floor in range(opt + 1):
+            for cap in range(opt + 2):
+                got = _bnb(inst, cap, floor)
+                assert got[:2] == want[cap], (inst, cap, floor)
+                if cap < floor:
+                    assert got == (None, None, 1), (inst, cap, floor)
 
 
 def test_optimum_matches_bruteforce():
@@ -208,6 +218,33 @@ def test_ic_table_rows():
     assert nine.size == 7 and nine.lower == -5 and nine.upper == 7 and nine.pattern_size == 7
     infeasible = ic_table(range(6, 10), 2, BNB)
     assert all(r.status == INFEASIBLE and r.witness is not None for r in infeasible)
+
+
+def test_ic_table_matches_scan_reference():
+    # The benchmark's recorded optima and lex-min codes, read, never written.
+    path = Path(__file__).parents[1] / "perfbench" / "scan_reference.json"
+    reference = json.loads(path.read_text())
+    for row in ic_table(range(9, 18)):
+        assert row.status == OPTIMAL and row.size == reference["optimum"][str(row.n)]
+        labels = [vertex_label(v, PrismIndexing(row.n)) for v in row.code]
+        assert labels == reference["lexmin_code"][str(row.n)], row.n
+
+
+def test_floor_applies_only_to_prisms_of_cycles_at_radius_1():
+    prism = complementary_prism(cycle(12))
+    swap = list(range(24))
+    swap[0], swap[12] = 12, 0  # the same graph with v1 and vbar1 exchanged
+    relabeled = Graph.from_edges(24, [(swap[u], swap[v]) for u, v in prism.edges()])
+    assert solver._prism_floor(prism, 1) == condition_floor(12) == 10
+    for g, d in [(prism, 2), (relabeled, 1), (complementary_prism(cycle(8)), 1), (cycle(18), 1)]:
+        assert solver._prism_floor(g, d) == 0
+    # Other inputs search exactly as without a floor, node for node.
+    inst = hitting_instance(relabeled, 1)
+    res = solve_min_idcode(relabeled, 1, SolverOptions(size_cap=10))
+    assert (res.size, res.code, res.nodes) == solver._bnb(inst, 10, 0)
+    floored = solve_min_idcode(prism, 1, SolverOptions(size_cap=10))
+    bare = solver._bnb(hitting_instance(prism, 1), 10, 0)
+    assert (floored.size, floored.code) == bare[:2] and floored.nodes < bare[2]
 
 
 def test_hitting_export_golden():

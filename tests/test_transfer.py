@@ -1,0 +1,81 @@
+"""The transfer DP floor: its conditions are necessary, and it is exact where checked.
+
+Necessity is shown structurally: every condition instance contains the
+closed ball, or the symmetric difference of closed balls, of the prism
+vertices it names, computed by BFS on an independently built prism.  The
+floor is then compared with brute force over every code pair at n = 9
+and 10, and with the frozen optima up to n = 22.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from prismcode.cycleprism import (
+    BAR_SEP,
+    BAR_SEP_DISTANCE2,
+    DOMINATION,
+    SEP_ADJACENT,
+    SEP_DISTANCE2,
+    condition_masks,
+    lower_bound,
+    upper_bound,
+)
+from prismcode.sweep import all_codes, condition_satisfied
+from prismcode.transfer import _tables, condition_floor
+
+import bruteforce as bf
+from test_solver import IC_VALUES
+
+REFERENCE = json.loads((Path(__file__).parents[1] / "perfbench" / "scan_reference.json").read_text())
+
+# Which side of the prism a family's indices name: cycle vertex a or bar vertex n + a.
+NAMED_SIDE = {DOMINATION: 0, SEP_ADJACENT: 0, SEP_DISTANCE2: 0, BAR_SEP: 1, BAR_SEP_DISTANCE2: 1}
+
+
+@pytest.mark.parametrize("n", range(9, 25))
+def test_every_condition_contains_a_ball_requirement(n):
+    adj = bf.prism_adj(bf.cycle_adj(n))
+    balls = [sum(1 << v for v in bf.bfs_ball(adj, u, 1)) for u in range(2 * n)]
+    for c in condition_masks(n):
+        named = [NAMED_SIDE[c.family] * n + a for a in c.indices]
+        need = balls[named[0]] if c.family == DOMINATION else balls[named[0]] ^ balls[named[1]]
+        assert need and not need & ~c.mask, c
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_floor_equals_least_condition_clean_code(n):
+    codes = all_codes(n)
+    clean = codes[condition_satisfied(n, codes)]
+    assert condition_floor(n) == int(np.bitwise_count(clean).min())
+
+
+def test_floor_equals_frozen_optima():
+    frozen = {n: size for n, size in IC_VALUES.items() if n >= 9}
+    frozen.update((int(n), size) for n, size in REFERENCE["optimum"].items() if int(n) >= 17)
+    assert sorted(frozen) == list(range(9, 23))
+    assert {n: condition_floor(n) for n in frozen} == frozen
+
+
+def test_floor_within_bounds_and_periodic():
+    # (7n + e[n mod 9]) / 9, the values the DP gave when it was written.
+    e = (0, 2, -5, 6, -1, 1, 3, 5, -2)
+    for n in range(9, 69):
+        floor = condition_floor(n)
+        assert lower_bound(n) <= floor <= upper_bound(n)[0]
+        assert 9 * floor == 7 * n + e[n % 9], n
+
+
+def test_transfer_tables_shape():
+    states, cost, pred = _tables()
+    assert len(states) == 228
+    assert pred.shape == (2, 228, 4)
+    assert cost.tolist() == [int(s >> 6).bit_count() for s in states]
+    assert (pred[1] < 228).sum() > 0  # some legal windows are blind
+
+
+def test_floor_scope():
+    with pytest.raises(ValueError):
+        condition_floor(8)
