@@ -239,6 +239,8 @@ def cmd_cwcheck(args) -> int:
 def cmd_scan(args) -> int:
     if args.start < 3 or args.stop < args.start:
         raise GraphFormatError("need 3 <= start <= stop")
+    if args.stop > MAX_ORDER // 2:
+        raise GraphFormatError(f"scan stop {args.stop} has prism order {2 * args.stop}, above the limit of {MAX_ORDER}")
     rows = ic_table(range(args.start, args.stop + 1), args.d, SolverOptions(args.strategy, args.cap))
     indexing_for = lambda n: PrismIndexing(n)
     if args.format == "json":

@@ -11,13 +11,23 @@ all of its work.  Each node makes one pass over its unhit constraints: a
 constraint with no allowed vertex left prunes the node, a greedy packing
 of pairwise-disjoint live parts (the allowed vertices of each constraint)
 bounds the vertices still needed, and the first narrowest live part is
-the one branched on.  On the prism of C_n with n >= 9 at d = 1, the
-search also starts from the certified floor of `transfer.condition_floor`,
-the least size of a code pair meeting the necessary condition system:
-once the incumbent reaches it, only lexicographically smaller ties are
-searched.  Other inputs, and the exhaustive strategy, get no floor.
-That shared canonical answer is the determinism contract: strategies and
-repeated runs agree on everything except wall-clock time.
+the one branched on.
+
+On the prism of C_n with n >= 9 at d = 1, the branch-and-bound strategy
+first asks the transfer DP: `transfer.condition_floor` is the least size
+of a code pair meeting the necessary condition system, and
+`transfer.lexmin_pair` the lex-min such pair.  A size cap below the floor
+is answered cap-exceeded at once; a lex-min pair that passes
+`verify_code` is the answer, with nodes = 0 (every optimal code is a
+clean pair of at least the floor's size, so it is optimal and lex-min
+among the optima).  Otherwise (n = 9, 10 and 12 among those checked, where
+the conditions are not sufficient) the search runs, starting from the
+floor as a lower bound: once the incumbent reaches it, only
+lexicographically smaller ties are searched.  Other inputs, and the
+exhaustive strategy, take neither the DP nor the floor.
+That shared canonical answer is the determinism contract: strategies
+agree on everything except wall-clock time and node counts, and repeated
+runs on everything except wall-clock time.
 """
 
 from __future__ import annotations
@@ -30,10 +40,10 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .cycleprism import _prism, lower_bound, pattern_code, prism_cycle_length, upper_bound
+from .cycleprism import _prism, lower_bound, pattern_code, prism_cycle_length, upper_bound, verify_code
 from .graphs import Graph, PrismIndexing, bits, mask_of
 from .idcode import HittingInstance, greedy_code, hitting_instance, hits_all, vertex_label
-from .transfer import condition_floor
+from .transfer import condition_floor, lexmin_pair
 
 STRATEGIES = ("exhaustive", "bnb")
 
@@ -83,10 +93,18 @@ def solve_min_idcode(g: Graph, d: int, options: Optional[SolverOptions] = None) 
 
     With a size cap, CAP_EXCEEDED certifies that no code of size <= cap
     exists; OPTIMAL results are always true optima, and the reported code
-    is the lexicographically smallest one of optimal size.
+    is the lexicographically smallest one of optimal size.  nodes is 0
+    when the transfer DP answers (see the module docstring).
     """
     opts = options or SolverOptions()
     start = time.perf_counter()
+    floor = _prism_floor(g, d) if opts.strategy == "bnb" else 0
+    if floor:
+        if opts.size_cap is not None and opts.size_cap < floor:
+            return SolverResult(CAP_EXCEEDED, elapsed=time.perf_counter() - start)
+        pair = lexmin_pair(g.order // 2)
+        if verify_code(pair):
+            return SolverResult(OPTIMAL, size=floor, code=pair.vertices(), elapsed=time.perf_counter() - start)
     inst = hitting_instance(g, d)
     if not inst.feasible:
         return SolverResult(
@@ -96,7 +114,7 @@ def solve_min_idcode(g: Graph, d: int, options: Optional[SolverOptions] = None) 
     if opts.strategy == "exhaustive":
         size, code, nodes = _exhaustive(inst, opts.size_cap)
     else:
-        size, code, nodes = _bnb(inst, opts.size_cap, _prism_floor(g, d))
+        size, code, nodes = _bnb(inst, opts.size_cap, floor)
     elapsed = time.perf_counter() - start
     if size is None:
         return SolverResult(CAP_EXCEEDED, nodes=nodes, elapsed=elapsed)

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from prismcode.cli import main
+from prismcode.cycleprism import _prism
 from prismcode.graphs import MAX_ORDER, complementary_prism, cycle, parse_graph
 
 import bruteforce as bf
@@ -256,6 +257,20 @@ def test_scan_text_and_json(capsys):
     assert payload[0]["code"][0] == "v1"
     assert run(capsys, "scan", "2", "5")[0] == 64
     assert run(capsys, "scan", "9", "8")[0] == 64
+
+
+def test_scan_order_limit_refused_before_solving(capsys):
+    # The rule `gen prism` applies: a prism of order above MAX_ORDER is refused
+    # with exit 64 before any prism is built or solved.
+    built = _prism.cache_info().misses
+    start = time.perf_counter()
+    for stop in (MAX_ORDER // 2 + 1, 10**8):
+        for first in ("3", str(stop)):
+            code, out, err = run(capsys, "scan", first, str(stop))
+            assert code == 64 and out == "", (first, stop)
+            assert f"scan stop {stop} has prism order {2 * stop}, above the limit of {MAX_ORDER}" in err
+    assert time.perf_counter() - start < 1.0
+    assert _prism.cache_info().misses == built
 
 
 def test_scan_infeasible_rows(capsys):

@@ -27,7 +27,7 @@ from prismcode.solver import (
     ic_table,
     solve_min_idcode,
 )
-from prismcode.transfer import condition_floor
+from prismcode.transfer import condition_floor, lexmin_pair
 
 import bruteforce as bf
 
@@ -245,6 +245,29 @@ def test_floor_applies_only_to_prisms_of_cycles_at_radius_1():
     floored = solve_min_idcode(prism, 1, SolverOptions(size_cap=10))
     bare = solver._bnb(hitting_instance(prism, 1), 10, 0)
     assert (floored.size, floored.code) == bare[:2] and floored.nodes < bare[2]
+
+
+def test_transfer_route_answers_prisms_of_cycles_without_search():
+    # The DP's lex-min pair identifies for every n here but 9, 10 and 12; there the
+    # conditions are not sufficient, and branch and bound answers from the floor.
+    for n in range(9, 31):
+        res = solve_min_idcode(complementary_prism(cycle(n)), 1)
+        assert res.status == OPTIMAL and res.size == condition_floor(n), n
+        if n in (9, 10, 12):
+            assert res.nodes > 0 and res.code != lexmin_pair(n).vertices()
+        else:
+            assert res.nodes == 0 and res.code == lexmin_pair(n).vertices(), n
+
+
+def test_transfer_route_cap_below_floor():
+    for n in (9, 12, 13, 20):
+        g, floor = complementary_prism(cycle(n)), condition_floor(n)
+        below = solve_min_idcode(g, 1, SolverOptions(size_cap=floor - 1))
+        assert (below.status, below.size, below.code, below.nodes) == (CAP_EXCEEDED, None, None, 0)
+        at = solve_min_idcode(g, 1, SolverOptions(size_cap=floor))
+        assert at.status == OPTIMAL and at.size == floor
+    # The exhaustive strategy stays off the route.
+    assert solve_min_idcode(complementary_prism(cycle(9)), 1, SolverOptions("exhaustive", 6)).nodes > 0
 
 
 def test_hitting_export_golden():

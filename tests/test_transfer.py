@@ -4,10 +4,12 @@ Necessity is shown structurally: every condition instance contains the
 closed ball, or the symmetric difference of closed balls, of the prism
 vertices it names, computed by BFS on an independently built prism.  The
 floor is then compared with brute force over every code pair at n = 9
-and 10, and with the frozen optima up to n = 22.
+and 10, and with the frozen optima up to n = 22.  The DP's lex-min pair
+is compared with brute force at n = 9 and 10 and with branch and bound.
 """
 
 import json
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -19,12 +21,17 @@ from prismcode.cycleprism import (
     DOMINATION,
     SEP_ADJACENT,
     SEP_DISTANCE2,
+    _prism,
+    check_conditions,
     condition_masks,
     lower_bound,
     upper_bound,
+    verify_code,
 )
+from prismcode.idcode import hitting_instance
+from prismcode.solver import _bnb
 from prismcode.sweep import all_codes, condition_satisfied
-from prismcode.transfer import _tables, condition_floor
+from prismcode.transfer import _tables, condition_floor, lexmin_pair
 
 import bruteforce as bf
 from test_solver import IC_VALUES
@@ -45,11 +52,42 @@ def test_every_condition_contains_a_ball_requirement(n):
         assert need and not need & ~c.mask, c
 
 
+@lru_cache(maxsize=None)
+def clean_codes(n):
+    """Every code pair at n meeting every condition instance, identifying or not."""
+    codes = all_codes(n)
+    return codes[condition_satisfied(n, codes)]
+
+
 @pytest.mark.parametrize("n", [9, 10])
 def test_floor_equals_least_condition_clean_code(n):
-    codes = all_codes(n)
-    clean = codes[condition_satisfied(n, codes)]
+    clean = clean_codes(n)
     assert condition_floor(n) == int(np.bitwise_count(clean).min())
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_lexmin_pair_equals_brute_force(n):
+    # Both n are ones where the lex-min clean pair does not identify.
+    clean = clean_codes(n)
+    counts = np.bitwise_count(clean)
+    # Sorted vertex tuples of one length compare by their lowest differing vertex.
+    least = min(tuple(v for v in range(2 * n) if int(m) >> v & 1) for m in clean[counts == counts.min()])
+    pair = lexmin_pair(n)
+    assert pair.vertices() == least and not verify_code(pair)
+
+
+@pytest.mark.parametrize("n", [*range(13, 20), 21])
+def test_lexmin_pair_equals_branch_and_bound(n):
+    size, code, _ = _bnb(hitting_instance(_prism(n), 1), None, condition_floor(n))
+    pair = lexmin_pair(n)
+    assert (pair.size, pair.vertices()) == (size, code)
+
+
+def test_lexmin_pair_is_clean_at_the_floor():
+    for n in range(9, 41):
+        pair = lexmin_pair(n)
+        assert pair.size == condition_floor(n) and check_conditions(pair).ok, n
+        assert verify_code(pair) == (n not in (9, 10, 12)), n
 
 
 def test_floor_equals_frozen_optima():
@@ -79,3 +117,5 @@ def test_transfer_tables_shape():
 def test_floor_scope():
     with pytest.raises(ValueError):
         condition_floor(8)
+    with pytest.raises(ValueError):
+        lexmin_pair(8)
