@@ -42,13 +42,24 @@ class Graph:
                 raise ValueError(f"row {u} mentions vertices outside 0..{order - 1}")
             if row >> u & 1:
                 raise ValueError(f"self-loop at vertex {u}")
+        # Symmetry: every entry above the diagonal has its mirror, and the
+        # totals above and below agree.  The mirrors are distinct entries
+        # below, so equal totals leave no unmirrored entry there either.
+        upper = 0
         for u, row in enumerate(rows):
-            for v in bits(row):
-                if not rows[v] >> u & 1:
-                    raise ValueError(f"edge {u},{v} is not symmetric")
+            above = row >> u + 1 << u + 1
+            upper += above.bit_count()
+            col = 1 << u
+            while above:
+                low = above & -above
+                if not rows[low.bit_length() - 1] & col:
+                    raise _asymmetry(rows)
+                above ^= low
+        if 2 * upper != sum(row.bit_count() for row in rows):
+            raise _asymmetry(rows)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "adj", rows)
-        object.__setattr__(self, "_edge_count", sum(row.bit_count() for row in rows) // 2)
+        object.__setattr__(self, "_edge_count", upper)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -94,6 +105,12 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(order={self.order}, edges={self.edge_count})"
+
+
+def _asymmetry(rows: Sequence[int]) -> ValueError:
+    """The error naming the first entry u,v, row by row, whose mirror v,u is missing."""
+    u, v = next((u, v) for u, row in enumerate(rows) for v in bits(row) if not rows[v] >> u & 1)
+    return ValueError(f"edge {u},{v} is not symmetric")
 
 
 def bits(mask: int) -> Iterator[int]:

@@ -6,6 +6,12 @@ covered vertices are equivalent when their closed neighborhoods agree
 outside V_s; the number of classes, maximized over nodes, measures how
 tangled the graph is with respect to that layout.
 
+class_profile counts every node in one bottom-up pass: a node's classes
+are its children's classes with its own cover cleared, so a node costs
+its children's class counts rather than its cover size, and a whole
+tree at most the sum of its cover sizes.  Every walk over a tree here
+uses an explicit stack, so trees as deep as the order limit work.
+
 The point proved here computationally: lifting a layout tree to the
 complementary prism by replacing each leaf u with a cherry over u and its
 bar partner at most doubles the maximum class count.  check_doubling
@@ -58,22 +64,42 @@ class LayoutTree:
         return tuple(bits(self.leaf_mask))
 
     def postorder(self) -> Iterator["LayoutTree"]:
-        if not self.is_leaf:
-            yield from self.left.postorder()
-            yield from self.right.postorder()
-        yield self
+        """Children before parents, left subtree first, without recursion.
+
+        Visiting node, right, left from an explicit stack gives the
+        postorder reversed.
+        """
+        stack, visited = [self], []
+        while stack:
+            node = stack.pop()
+            visited.append(node)
+            if node.vertex is None:
+                stack += (node.left, node.right)
+        return reversed(visited)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LayoutTree):
             return NotImplemented
-        if self.is_leaf or other.is_leaf:
-            return self.vertex == other.vertex
-        return self.left == other.left and self.right == other.right
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.vertex != b.vertex or a.leaf_mask != b.leaf_mask:
+                return False
+            if a.vertex is None:
+                stack += ((a.right, b.right), (a.left, b.left))
+        return True
 
     def __hash__(self) -> int:
-        if self.is_leaf:
-            return hash(("leaf", self.vertex))
-        return hash((hash(self.left), hash(self.right)))
+        hashes: list[int] = []
+        for node in self.postorder():
+            if node.vertex is not None:
+                hashes.append(hash(("leaf", node.vertex)))
+            else:
+                right = hashes.pop()
+                hashes[-1] = hash((hashes[-1], right))
+        return hashes[0]
 
     def __repr__(self) -> str:
         return f"LayoutTree({format_layout(self)!r})"
@@ -81,30 +107,30 @@ class LayoutTree:
 
 def format_layout(t: LayoutTree) -> str:
     """Nested parens with 1-based leaf labels, e.g. "((1,2),(3,4))"."""
-    if t.is_leaf:
-        return str(t.vertex + 1)
-    return f"({format_layout(t.left)},{format_layout(t.right)})"
+    out = []
+    stack: list = [t]  # subtrees still to write, and the punctuation between them
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif item.vertex is not None:
+            out.append(str(item.vertex + 1))
+        else:
+            out.append("(")
+            stack += (")", item.right, ",", item.left)
+    return "".join(out)
 
 
 def parse_layout(text: str) -> LayoutTree:
     s = "".join(text.split())
     pos = 0
-
-    def node() -> LayoutTree:
-        nonlocal pos
-        if pos < len(s) and s[pos] == "(":
+    # One entry per '(' still open: None while its left child is being read,
+    # then the finished left child while its right child is being read.
+    open_nodes: list[Optional[LayoutTree]] = []
+    while True:
+        while pos < len(s) and s[pos] == "(":
+            open_nodes.append(None)
             pos += 1
-            left = node()
-            if pos >= len(s) or s[pos] != ",":
-                raise GraphFormatError(f"expected ',' at offset {pos} of layout text")
-            pos += 1
-            right = node()
-            if pos >= len(s) or s[pos] != ")":
-                raise GraphFormatError(f"expected ')' at offset {pos} of layout text")
-            pos += 1
-            if left.leaf_mask & right.leaf_mask:
-                raise GraphFormatError("layout tree repeats a leaf label")
-            return LayoutTree.node(left, right)
         start = pos
         while pos < len(s) and s[pos].isdigit():
             pos += 1
@@ -113,9 +139,21 @@ def parse_layout(text: str) -> LayoutTree:
         label = int(s[start:pos])
         if label < 1:
             raise GraphFormatError("leaf labels are 1-based")
-        return LayoutTree.leaf(label - 1)
-
-    tree = node()
+        tree = LayoutTree.leaf(label - 1)
+        while open_nodes and open_nodes[-1] is not None:
+            if pos >= len(s) or s[pos] != ")":
+                raise GraphFormatError(f"expected ')' at offset {pos} of layout text")
+            pos += 1
+            left = open_nodes.pop()
+            if left.leaf_mask & tree.leaf_mask:
+                raise GraphFormatError("layout tree repeats a leaf label")
+            tree = LayoutTree.node(left, tree)
+        if not open_nodes:
+            break
+        if pos >= len(s) or s[pos] != ",":
+            raise GraphFormatError(f"expected ',' at offset {pos} of layout text")
+        pos += 1
+        open_nodes[-1] = tree
     if pos != len(s):
         raise GraphFormatError(f"trailing characters at offset {pos} of layout text")
     return tree
@@ -138,21 +176,31 @@ class ClassCountProfile:
 def class_profile(g: Graph, t: LayoutTree) -> ClassCountProfile:
     """Count neighborhood classes at every node of the tree.
 
-    Only the tree's shape and leaf labels matter.  Leaves always count 1;
-    the root counts 1 as well since nothing lies outside it.
+    One postorder pass merges class sets bottom up.  A leaf v has the one
+    signature N[v] minus v; an internal node takes the union of its
+    children's signatures with its own cover cleared, which is exact since
+    each child's cover lies inside the parent's.  A node so costs its
+    children's class counts, not its cover size.  Only the tree's shape and
+    leaf labels matter.  Leaves always count 1; the root counts 1 as well
+    since nothing lies outside it.
     """
     _check_cover(t, g.order)
     counts = []
-    best = 0
-    best_leaves: tuple[int, ...] = ()
+    best, best_node = 0, t
+    classes: list[set[int]] = []  # class sets of finished subtrees awaiting their parent
     for node in t.postorder():
-        cover = node.leaf_mask
-        signatures = {g.closed_row(u) & ~cover for u in bits(cover)}
-        counts.append(len(signatures))
-        if len(signatures) > best:
-            best = len(signatures)
-            best_leaves = node.leaves()
-    return ClassCountProfile(tuple(counts), best, best_leaves)
+        if node.vertex is not None:
+            merged = {g.adj[node.vertex]}
+        else:
+            keep = ~node.leaf_mask
+            right = classes.pop()
+            merged = {sig & keep for sig in classes.pop()}
+            merged.update([sig & keep for sig in right])
+        classes.append(merged)
+        counts.append(len(merged))
+        if len(merged) > best:
+            best, best_node = len(merged), node
+    return ClassCountProfile(tuple(counts), best, best_node.leaves())
 
 
 def prism_layout(t: LayoutTree) -> LayoutTree:
@@ -164,13 +212,14 @@ def prism_layout(t: LayoutTree) -> LayoutTree:
     """
     n = t.leaf_mask.bit_count()
     _check_cover(t, n)
-
-    def lift(node: LayoutTree) -> LayoutTree:
-        if node.is_leaf:
-            return LayoutTree.node(node, LayoutTree.leaf(n + node.vertex))
-        return LayoutTree.node(lift(node.left), lift(node.right))
-
-    return lift(t)
+    lifted: list[LayoutTree] = []  # lifted subtrees awaiting their parent
+    for node in t.postorder():
+        if node.vertex is not None:
+            lifted.append(LayoutTree.node(node, LayoutTree.leaf(n + node.vertex)))
+        else:
+            right = lifted.pop()
+            lifted[-1] = LayoutTree.node(lifted[-1], right)
+    return lifted[0]
 
 
 @dataclass(frozen=True)

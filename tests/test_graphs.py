@@ -1,5 +1,6 @@
 """Graph construction, balls, twins, and the text format, against BFS/set oracles."""
 
+import itertools
 import random
 
 import pytest
@@ -43,14 +44,26 @@ def test_cycle_domain():
 
 def test_graph_validation():
     with pytest.raises(ValueError):
-        Graph(2, [1, 0])  # asymmetric
+        Graph(2, [1, 0])  # self-loop at vertex 0
     with pytest.raises(ValueError):
         Graph(1, [1])  # self-loop
-    with pytest.raises(ValueError):
-        Graph.from_edges(2, [(0, 2)])
-    g = Graph.from_edges(3, [(0, 1)])
-    with pytest.raises(AttributeError):
-        g.order = 5
+    asymmetric = r"edge \d+,\d+ is not symmetric"
+    with pytest.raises(ValueError, match=asymmetric):
+        Graph(2, [2, 0])  # entry above the diagonal only
+    with pytest.raises(ValueError, match=asymmetric):
+        Graph(2, [0, 1])  # entry below the diagonal only
+    rng = random.Random(12)
+    for order, add, above in itertools.product((64, 100), (True, False), (True, False)):
+        g = random_graph(order, rng)
+        u, v = sorted(rng.sample(range(order), 2))
+        while g.has_edge(u, v) == add:
+            u, v = sorted(rng.sample(range(order), 2))
+        a, b = (u, v) if above else (v, u)
+        rows = list(g.adj)
+        rows[a] ^= 1 << b  # one-way edge: entry a,b added or removed, not its mirror
+        a, b = (a, b) if add else (b, a)  # the entry left without a mirror
+        with pytest.raises(ValueError, match=f"^edge {a},{b} is not symmetric$"):
+            Graph(order, rows)
 
 
 def test_complement_triangle_and_involution():

@@ -54,17 +54,61 @@ def test_c4_caterpillar_frozen():
     assert prof.max_leaves == (0, 1)
 
 
+def caterpillar(order):
+    """(((1,2),3),...,order): the deepest layout tree over 0..order-1."""
+    t = LayoutTree.leaf(0)
+    for v in range(1, order):
+        t = LayoutTree.node(t, LayoutTree.leaf(v))
+    return t
+
+
+def assert_profile_matches_oracle(g, t):
+    adj = bf.to_adj(g)
+    nodes = list(t.postorder())
+    want = [bf.class_count(adj, node.leaves()) for node in nodes]
+    prof = class_profile(g, t)
+    assert list(prof.counts) == want
+    assert prof.max_classes == max(want)
+    assert prof.max_leaves == nodes[want.index(max(want))].leaves()
+
+
 def test_profile_matches_set_oracle():
     rng = random.Random(14)
     for _ in range(25):
         order = rng.randint(1, 9)
         g = random_graph(order, rng)
         t = random_layout_tree(order, rng)
-        adj = bf.to_adj(g)
-        prof = class_profile(g, t)
-        want = [bf.class_count(adj, node.leaves()) for node in t.postorder()]
-        assert list(prof.counts) == want
-        assert prof.max_classes == max(want)
+        assert_profile_matches_oracle(g, t)
+        assert_profile_matches_oracle(complementary_prism(g), prism_layout(t))
+    for order in (1, 2, 5, 8, 13):
+        g = random_graph(order, rng)
+        for t in (caterpillar(order), balanced_layout_tree(order)):
+            assert_profile_matches_oracle(g, t)
+            assert_profile_matches_oracle(complementary_prism(g), prism_layout(t))
+
+
+def test_caterpillar_at_max_order():
+    order = 1024  # MAX_ORDER: deeper than Python's default recursion limit
+    t = caterpillar(order)
+    text = "(" * (order - 1) + "1," + "),".join(map(str, range(2, order + 1))) + ")"
+    assert format_layout(t) == text
+    assert parse_layout(text) == t and hash(parse_layout(text)) == hash(t)
+    other = caterpillar(order - 1)
+    assert t != LayoutTree.node(other, LayoutTree.leaf(order))  # differs only in the last leaf
+    nodes = list(t.postorder())
+    assert len(nodes) == 2 * order - 1 and nodes[-1] is t
+    assert [node.vertex for node in nodes[:3]] == [0, 1, None]
+    lifted = prism_layout(t)
+    assert lifted.leaves() == tuple(range(2 * order))
+    assert format_layout(lifted).startswith("(" * (order - 1) + "(1,1025),(2,1026)),(3,1027)),")
+    # C_n: a spine node over 0..k-1 (2 < k < n-1) splits its vertices into
+    # those seeing n-1, those seeing k, and the rest.
+    prof = class_profile(cycle(order), t)
+    spine = [prof.counts[i] for i, node in enumerate(nodes) if not node.is_leaf]
+    assert spine == [2] + [3] * (order - 4) + [2, 1]
+    result = check_doubling(cycle(order), t)
+    assert result.base_max == 3 and result.ok
+    assert result.prism_max == class_profile(complementary_prism(cycle(order)), lifted).max_classes
 
 
 def test_root_and_leaves_count_one():
