@@ -9,8 +9,12 @@ tangled the graph is with respect to that layout.
 class_profile counts every node in one bottom-up pass: a node's classes
 are its children's classes with its own cover cleared, so a node costs
 its children's class counts rather than its cover size, and a whole
-tree at most the sum of its cover sizes.  Every walk over a tree here
-uses an explicit stack, so trees as deep as the order limit work.
+tree at most the sum of its cover sizes.  postorder, equality, hashing,
+format_layout, parse_layout, class_profile and prism_layout walk with an
+explicit stack, so trees as deep as the order limit work.  The two tree
+builders, balanced_layout_tree and random_layout_tree, still recurse, but
+only as deep as the trees they build: about log2(order) for the balanced
+one and O(log order) expected for random splits.
 
 The point proved here computationally: lifting a layout tree to the
 complementary prism by replacing each leaf u with a cherry over u and its

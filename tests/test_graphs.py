@@ -47,6 +47,11 @@ def test_graph_validation():
         Graph(2, [1, 0])  # self-loop at vertex 0
     with pytest.raises(ValueError):
         Graph(1, [1])  # self-loop
+    with pytest.raises(ValueError):
+        Graph.from_edges(2, [(0, 2)])  # endpoint out of range
+    g = Graph.from_edges(3, [(0, 1)])
+    with pytest.raises(AttributeError):
+        g.order = 5  # graphs are immutable
     asymmetric = r"edge \d+,\d+ is not symmetric"
     with pytest.raises(ValueError, match=asymmetric):
         Graph(2, [2, 0])  # entry above the diagonal only
