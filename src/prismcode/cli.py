@@ -56,6 +56,12 @@ def _emit(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _require_prism_order(what: str, n: int) -> None:
+    """Refuse the prism of C_n when its order 2n is above MAX_ORDER, before anything is built."""
+    if 2 * n > MAX_ORDER:
+        raise GraphFormatError(f"{what} {n} has prism order {2 * n}, above the limit of {MAX_ORDER}")
+
+
 def _prism_indexing(g: Graph) -> Optional[PrismIndexing]:
     """Recognize complementary prisms of cycles, for friendly vertex labels."""
     n = prism_cycle_length(g)
@@ -134,6 +140,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_pattern(args) -> int:
+    _require_prism_order("pattern", args.n)
     code = pattern_code(args.n)
     sys.stdout.write(code.to_strings())
     if args.box:
@@ -148,6 +155,7 @@ def _box_art(code: CodePair) -> str:
 
 
 def cmd_conditions(args) -> int:
+    _require_prism_order("conditions", args.n)
     code = CodePair.from_strings(_read(args.code))
     if code.n != args.n:
         raise GraphFormatError(f"code rows have length {code.n}, expected {args.n}")
@@ -239,8 +247,7 @@ def cmd_cwcheck(args) -> int:
 def cmd_scan(args) -> int:
     if args.start < 3 or args.stop < args.start:
         raise GraphFormatError("need 3 <= start <= stop")
-    if args.stop > MAX_ORDER // 2:
-        raise GraphFormatError(f"scan stop {args.stop} has prism order {2 * args.stop}, above the limit of {MAX_ORDER}")
+    _require_prism_order("scan stop", args.stop)
     rows = ic_table(range(args.start, args.stop + 1), args.d, SolverOptions(args.strategy, args.cap))
     indexing_for = lambda n: PrismIndexing(n)
     if args.format == "json":

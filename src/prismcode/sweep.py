@@ -44,6 +44,7 @@ def random_codes(n: int, count: int, seed: int) -> np.ndarray:
 
 def condition_satisfied(n: int, codes: np.ndarray) -> np.ndarray:
     """True where the code meets every condition instance."""
+    _check_n(n)
     return hits_all(codes, [c.mask for c in condition_masks(n)])
 
 

@@ -19,15 +19,28 @@ certified lower bound on gamma^ID, `condition_floor(n)`.  The closed
 walks are split in two halves, T^floor(n/2) and T^ceil(n/2), and
 closed by a min-plus trace.
 
+Walk tables are 2-D: row 2s + b holds state s with b blind windows, each
+start state has one column, and a last sentinel row stays at _INF.  Each
+set of allowed column values has one padded gather index per direction
+(`_moves`), whose absent moves point at the sentinel row, so a forward
+or a backward step is one `take`, one min over the move axis, one cost
+add and one clamp: `_step`, the one kernel both directions share.
+
 `lexmin_pair(n)` returns the lex-min pair of that least size, in the
 solver's vertex order: a greedy settles the cycle row, then the bar
-row, one position at a time, each check adding a one-step forward table
-of the settled prefix to a backward table of the remaining steps, both
-indexed by start state (the first 4 columns).  Where that pair passes
-`verify_code` (every n from 9 to 200 except 9, 10 and 12), it is the
-lex-min optimal code, and `solver.solve_min_idcode` returns it with
-nodes = 0; elsewhere the solver falls back to branch and bound from the
-floor.
+row, one position at a time.  Each row starts from one backward pass
+that keeps, for every step, the least cost of the remaining steps back
+to each start state (the first 4 columns).  The cycle row carries a
+forward table of its settled prefix and checks each position with one
+add and one min against those tables, stacked for every position with
+the blind counts combined and the rows without the cycle vertex masked
+out.  Once the cycle row is fixed, exactly one start state remains for
+the bar row, and every settled prefix fixes the walk's state, blind
+count and cost, so the bar row is a scalar walk that reads the
+backward tables.  Where that pair passes `verify_code` (every n from 9
+to 200 except 9, 10 and 12), it is the lex-min optimal code, and
+`solver.solve_min_idcode` returns it with nodes = 0; elsewhere the
+solver falls back to branch and bound from the floor.
 
 The window tables are derived from `condition_masks` and
 `CodePair.blind_bar` at a reference n, never retyped, and only
@@ -37,6 +50,7 @@ rotation invariance carries them to other n.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -45,7 +59,8 @@ from .cycleprism import BAR_SEP, CodePair, _require_scope, condition_masks
 _REF_N = 9     # reference cycle length the window tables are read from
 _ANCHOR = 1    # the window's second column, position 1 at the reference n
 _INF = (1 << 14) - 1  # cost sentinel: a sum of two still fits an int16
-_GATHER = 1 << 16     # entries a gather in _least may hold at once
+_GATHER = 1 << 16     # entries one gather in _step may hold at once
+_ALL = (0, 1, 2, 3)   # every column value
 
 
 @lru_cache(maxsize=None)
@@ -84,90 +99,96 @@ def _tables():
     return states, cost, pred
 
 
-# Walk tables are indexed by state s, blind count b and start state k (for
-# a closed walk, the first 4 columns, which it returns to): t[s, b, k] is
-# the least cost of a walk between start k and state s with b blind
-# windows.  Row len(states) is a sentinel of _INF that absent moves point
-# at, and t.reshape(-1, len(starts)) has row 2s + b.
+# Walk tables are 2-D: t[2s + b, i] is the least cost of a walk between
+# start i and state s with b blind windows (for a closed walk, the start
+# is its first 4 columns, which it returns to).  The last row is a
+# sentinel of _INF that absent moves point at.  _step moves a table one
+# column on, forward or backward; the bar row of lexmin_pair keeps no
+# table, only a scalar walk over _successors.
 
 
 @lru_cache(maxsize=None)
-def _moves(cols: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(targets, cost, into, out_of) of the steps that append a column in cols.
+def _successors() -> tuple[tuple[Optional[tuple[int, int]], ...], ...]:
+    """succ[s][c]: (t, b) when appending column value c to state s is a legal window, else None.
 
-    targets lists the states whose last column lies in cols, and cost
-    their costs.  into[:, i, b] are the rows a walk into targets[i] with
-    b blind windows comes from; out_of[:, s, b] the rows a walk out of
-    state s with b blind windows goes to, read off pred.
+    t is the index of the state reached and b the window's blind flag,
+    both read off pred.
     """
-    states, cost, pred = _tables()
-    m = len(states)
-    newest = np.array(states) >> 6
-    targets = np.flatnonzero(np.isin(newest, cols))
-    into = np.full((8, len(targets), 2), 2 * m)
-    into[:4, :, 0] = 2 * pred[0, targets].T
-    into[:4, :, 1] = 2 * pred[0, targets].T + 1
-    into[4:, :, 1] = 2 * pred[1, targets].T
-    succ = np.full((2, m, 4), m)
-    b, t, c = np.nonzero(pred < m)
-    succ[b, pred[b, t, c], newest[t]] = t
-    cols = list(cols)
-    out_of = np.full((2 * len(cols), m, 2), 2 * m)
-    out_of[:len(cols), :, 0] = 2 * succ[0][:, cols].T
-    out_of[:len(cols), :, 1] = 2 * succ[0][:, cols].T + 1
-    out_of[len(cols):, :, 1] = 2 * succ[1][:, cols].T
-    return targets, cost[targets, None, None], into, out_of
+    states, _, pred = _tables()
+    succ = [[None] * 4 for _ in states]
+    for b, t, c in zip(*np.nonzero(pred < len(states))):
+        succ[pred[b, t, c]][states[t] >> 6] = (int(t), int(b))
+    return tuple(map(tuple, succ))
+
+
+@lru_cache(maxsize=None)
+def _addends(columns: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cost, cap): what _step adds to and clamps a table of that many columns at.
+
+    cost holds each row's state cost, 0 at the sentinel, and cap _INF.
+    Both are full-size: numpy adds and clamps them faster than
+    broadcast operands.
+    """
+    cost = np.append(np.repeat(_tables()[1], 2), 0)
+    shape = (len(cost), columns)
+    return np.broadcast_to(cost[:, None], shape).astype(np.int16), np.full(shape, _INF, dtype=np.int16)
+
+
+@lru_cache(maxsize=None)
+def _moves(cols: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(into, out_of): the gather indices of the steps that append a column in cols.
+
+    into[:, 2t + b] lists the rows a walk into state t with b blind
+    windows comes from, one per first column of the state left;
+    out_of[:, 2s + b] the rows a walk back out of state s with b blind
+    windows goes on from, one per value in cols.  Absent moves, and
+    every move of the sentinel row, point at the sentinel row.  Moves
+    are the first axis, so that _step's min runs over whole rows.
+    """
+    states = _tables()[0]
+    sentinel = 2 * len(states)
+    into = np.full((4, sentinel + 1), sentinel)
+    out_of = np.full((len(cols), sentinel + 1), sentinel)
+    for s, succ in enumerate(_successors()):
+        for i, c in enumerate(cols):
+            if succ[c] is not None:
+                t, b = succ[c]
+                for extra in range(2 - b):  # blind windows on the walk's other side
+                    into[states[s] & 3, 2 * t + b + extra] = 2 * s + extra
+                    out_of[i, 2 * s + b + extra] = 2 * t + extra
+    return into, out_of
+
+
+def _step(t: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """One DP step into out: row r is the least t[index[:, r]], plus row r's cost, clamped at _INF.
+
+    Small tables gather every move at once; larger ones (the walks from
+    every start) one move at a time, so that temporaries stay table-sized.
+    """
+    if index.size * t.shape[1] <= _GATHER:
+        np.minimum.reduce(t.take(index, axis=0), axis=0, out=out)
+    else:
+        t.take(index[0], axis=0, out=out)
+        gathered = np.empty_like(out)
+        for move in index[1:]:
+            np.minimum(out, t.take(move, axis=0, out=gathered), out=out)
+    cost, cap = _addends(out.shape[1])
+    out += cost
+    return np.minimum(out, cap, out=out)
 
 
 def _origin(starts: list[int]) -> np.ndarray:
-    """Zero-length walks: cost 0 at each start's own state."""
-    t = np.full((len(_tables()[0]) + 1, 2, len(starts)), _INF, dtype=np.int16)
-    t[starts, 0, range(len(starts))] = 0
+    """Zero-length walks: cost 0 at each start's own state, no blind window."""
+    t = np.full((2 * len(_tables()[0]) + 1, len(starts)), _INF, dtype=np.int16)
+    t[2 * np.array(starts, dtype=int), range(len(starts))] = 0
     return t
-
-
-def _least(t: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Elementwise least of the row blocks index[0], index[1], ... of t.
-
-    Small tables are gathered at once; larger ones (the walks from every
-    start) one block at a time, so that temporaries stay table-sized.
-    """
-    rows = t.reshape(-1, t.shape[2])
-    if index.size * t.shape[2] <= _GATHER:
-        return np.take(rows, index, axis=0).min(axis=0)
-    out = np.take(rows, index[0], axis=0)
-    gathered = np.empty_like(out)
-    for block in index[1:]:
-        np.minimum(out, np.take(rows, block, axis=0, out=gathered), out=out)
-    return out
-
-
-def _forward(f: np.ndarray, cols: tuple[int, ...]) -> np.ndarray:
-    """Extend the walks f from the starts by one column whose value lies in cols."""
-    targets, cost, into, _ = _moves(cols)
-    step = _least(f, into)
-    step += cost
-    out = np.full_like(f, _INF)
-    out[targets] = np.minimum(step, _INF, out=step)
-    return out
-
-
-def _backward(r: np.ndarray, cols: tuple[int, ...]) -> np.ndarray:
-    """Prepend to the walks r back to the starts one column whose value lies in cols."""
-    _, cost, _ = _tables()
-    *_, out_of = _moves(cols)
-    ahead = r.copy()
-    ahead[:-1] += cost[:, None, None]
-    out = np.full_like(r, _INF)
-    out[:-1] = np.minimum(_least(ahead, out_of), _INF)
-    return out
 
 
 _recent: list[tuple[int, np.ndarray]] = []  # the last two (k, _walks(k)) computed
 
 
 def _walks(k: int) -> np.ndarray:
-    """W[t, b, s]: least cost of a k-step walk from state s to t with b blind windows.
+    """W[2t + b, s]: least cost of a k-step walk from state s to t with b blind windows.
 
     These are the walks from every state as a start.  The walk tables of
     the last two lengths are kept and extended, so a scan over ascending
@@ -179,8 +200,9 @@ def _walks(k: int) -> np.ndarray:
             start, walks = entry
     if walks is None:
         walks = _origin(range(len(_tables()[0])))
+    into = _moves(_ALL)[0]
     for length in range(start + 1, k + 1):
-        walks = _forward(walks, (0, 1, 2, 3))
+        walks = _step(walks, into, np.empty_like(walks))
         _recent[:] = [*_recent[-1:], (length, walks)]
     return walks
 
@@ -189,13 +211,14 @@ def _walks(k: int) -> np.ndarray:
 def _reach(n: int) -> np.ndarray:
     """reach[s]: least cost of a closed n-column walk through state s with at most one blind window.
 
-    The closed walks are split after n // 2 columns: a[t, b, s] + c[s, b', t]
-    closes at most one blind window when b + b' <= 1.  The last n's table
-    is kept: a solve asks for the floor, then for the lex-min pair.
+    The closed walks are split after n // 2 columns: a walk from s to t
+    with b blind windows and one back from t to s with b' close at most
+    one blind window when b + b' <= 1.  The last n's table is kept: a
+    solve asks for the floor, then for the lex-min pair.
     """
-    m = len(_tables()[0])
-    a, c = _walks(n // 2)[:m], _walks(n - n // 2)[:m]
-    closed = np.minimum(a[:, 0] + c[:, 0].T, np.minimum(a[:, 0] + c[:, 1].T, a[:, 1] + c[:, 0].T))
+    a, c = _walks(n // 2), _walks(n - n // 2)
+    c0 = c[0:-1:2]
+    closed = np.minimum(a[0:-1:2] + np.minimum(c0, c[1:-1:2]).T, a[1:-1:2] + c0.T)
     return closed.min(axis=0)
 
 
@@ -219,33 +242,91 @@ def _prefer(starts: list[int], bit: int) -> list[int]:
     return starts
 
 
-def _settle(n: int, floor: int, starts: list[int], allowed: list[tuple[int, ...]], bit: int) -> list[bool]:
-    """One bit row of the lex-min floor-cost closed walk whose columns lie in allowed.
+def _backward(n: int, floor: int, starts: list[int], allowed: list[tuple[int, ...]], bit: int):
+    """(chosen, ahead): the start states a row is settled from, and its backward tables.
 
-    starts holds the start state of every such walk, and maybe more.
-    back[j] holds the walks of the steps after step j back to each start;
-    step j appends column (j + 3) % n, so steps n - 3..n bring back the
-    start's own columns.  Columns 0..3 are settled by the start, the rest
-    one at a time: column p keeps bit when a walk of floor cost still does,
-    which the settled prefix, extended by one step, and back[p - 3] decide.
+    Step j appends column (j + 3) % n, a value in allowed[(j + 3) % n],
+    so steps n - 3..n bring back the start's own columns.  The pass runs
+    from step n down to step 1, one table per step.  ahead[p - 4, 2s + b, i]
+    is the least cost of steps p - 2..n with b blind windows from state s,
+    whose last column is column p, back to start chosen[i], counting
+    column p too.  chosen keeps the starts with a closed walk of floor
+    cost and, among those, the ones _prefer keeps for bit.
+    """
+    cost = _tables()[1]
+    back = np.empty((n + 1, 2 * len(cost) + 1, len(starts)), dtype=np.int16)
+    back[n] = _INF
+    rows, cols = 2 * np.array(starts), np.arange(len(starts))
+    back[n, rows, cols] = cost[starts]
+    for j in range(n, 0, -1):
+        _step(back[j], _moves(allowed[(j + 3) % n])[1], back[j - 1])
+    closed = np.minimum(back[0, rows, cols], back[0, rows + 1, cols]) - cost[starts]
+    chosen = _prefer([k for k, c in zip(starts, closed.tolist()) if c == floor], bit)
+    return chosen, back[1:n - 3, :, [starts.index(k) for k in chosen]]
+
+
+def _cycle_row(n: int, floor: int, starts: list[int]) -> list[bool]:
+    """The cycle row of the lex-min floor-cost closed walk; starts holds every start of one.
+
+    Columns 0..3 are settled by the start, the rest one at a time: the
+    walks of the settled prefix step to column p, and p keeps its cycle
+    vertex when one of them that ends on it, added to the rest of its
+    walk, still costs floor.  rest[p - 4] holds, for every walk that ends
+    on the cycle vertex with b blind windows, the least cost its rest
+    adds with at most 1 - b more; built for all p in one stacked pass,
+    it makes each check one add and one min.
     """
     states = _tables()[0]
-    back = [_origin(starts)]
-    for j in range(n, 0, -1):
-        back.append(_backward(back[-1], allowed[(j + 3) % n]))
-    back.reverse()
-    closed = back[0][starts, :, range(len(starts))].min(axis=1)
-    chosen = _prefer([k for k, cost in zip(starts, closed) if cost == floor], bit)
-    keep = [starts.index(k) for k in chosen]
-    row = [bool(states[chosen[0]] >> 2 * i & bit) for i in range(4)]
-    has = np.append(np.array(states) >> 6 & bit > 0, False)
-    f = _origin(chosen)
+    chosen, ahead = _backward(n, floor, starts, [_ALL] * n, 1)
+    has = np.append(np.repeat(np.array(states) >> 6 & 1 > 0, 2), False)
+    # Raising a table to drop[keep] sets the rows whose state disagrees with keep at column p to _INF.
+    wide = np.repeat(has[:, None], len(chosen), axis=1)
+    drop = {keep: np.where(wide == keep, 0, _INF).astype(np.int16) for keep in (False, True)}
+    pairs = ahead[:, :-1].reshape(len(ahead), -1, 2, len(chosen))
+    rest = np.empty_like(ahead)
+    rest[:, -1] = _INF
+    both = rest[:, :-1].reshape(pairs.shape)
+    np.minimum(pairs[:, :, 0], pairs[:, :, 1], out=both[:, :, 0])
+    both[:, :, 1] = pairs[:, :, 0]
+    rest -= _addends(len(chosen))[0]  # the state's own column, which the prefix counts
+    np.maximum(rest, drop[True], out=rest)
+    row = [bool(states[chosen[0]] >> 2 * i & 1) for i in range(4)]
+    f, into = _origin(chosen), _moves(_ALL)[0]
     for p in range(4, n):
-        f = _forward(f, allowed[p])
-        r = back[p - 3][:, :, keep]
-        through = np.minimum(f[:, 0] + np.minimum(r[:, 0], r[:, 1]), f[:, 1] + r[:, 0]).min(axis=1)
-        row.append(bool(through[has].min() == floor))
-        f[has != row[-1]] = _INF
+        f = _step(f, into, np.empty_like(f))
+        keep = bool((f + rest[p - 4]).min() == floor)
+        row.append(keep)
+        np.maximum(f, drop[keep], out=f)
+    return row
+
+
+def _bar_row(n: int, floor: int, x: list[bool]) -> list[bool]:
+    """The bar row of the lex-min floor-cost closed walk with cycle row x.
+
+    The cycle bits of columns 0..3 and _prefer fix the start state, so
+    each settled prefix is one walk: its state, blind count and cost are
+    scalars.  Column p keeps its bar vertex when the walk can step there
+    and, with the rest of its walk, still cost floor.
+    """
+    states, cost, _ = _tables()
+    first = sum(v << 2 * i for i, v in enumerate(x[:4]))  # the cycle bits of columns 0..3
+    starts = np.flatnonzero(np.array(states) & 0x55 == first).tolist()
+    (start,), ahead = _backward(n, floor, starts, [(1, 3) if v else (0, 2) for v in x], 2)
+    ahead = ahead[:, :, 0]
+    row = [bool(states[start] >> 2 * i & 2) for i in range(4)]
+    succ, cost = _successors(), cost.tolist()
+    s, blind, spent = start, 0, 0
+    for p in range(4, n):
+        for c in (int(x[p]) | 2, int(x[p])):
+            if succ[s][c] is not None:
+                t, b = succ[s][c]
+                more = range(2 - blind - b)  # the blind windows the rest may still add
+                if more and spent + min(ahead.item(p - 4, 2 * t + k) for k in more) == floor:
+                    break
+        else:
+            raise AssertionError(f"no floor-cost walk extends the bar row at column {p}")
+        row.append(c > 1)
+        s, blind, spent = t, blind + b, spent + cost[t]
     return row
 
 
@@ -269,10 +350,6 @@ def lexmin_pair(n: int) -> CodePair:
     does not identify, nothing follows beyond the floor.
     """
     floor = condition_floor(n)
-    states = _tables()[0]
-    starts = _prefer(np.flatnonzero(_reach(n) == floor).tolist(), 1)
-    x = _settle(n, floor, starts, [(0, 1, 2, 3)] * n, 1)
-    first = sum(v << 2 * i for i, v in enumerate(x[:4]))  # the cycle bits of columns 0..3
-    starts = np.flatnonzero(np.array(states) & 0x55 == first).tolist()
-    xbar = _settle(n, floor, starts, [(1, 3) if v else (0, 2) for v in x], 2)
+    x = _cycle_row(n, floor, _prefer(np.flatnonzero(_reach(n) == floor).tolist(), 1))
+    xbar = _bar_row(n, floor, x)
     return CodePair(n, sum(v << i for i, v in enumerate(x)), sum(v << i for i, v in enumerate(xbar)))

@@ -120,3 +120,20 @@ def isomorphic(g_adj, h_adj):
         ):
             return True
     return False
+
+
+def greedy_hitting_set(constraints):
+    """Max-coverage greedy by recounting: each round counts, for every vertex,
+    the unhit constraints holding it, and takes the highest count, lowest
+    vertex first.  The reference for `idcode.greedy_code`."""
+    unhit = [{v for v in range(c.bit_length()) if c >> v & 1} for c in constraints]
+    chosen = set()
+    while unhit:
+        counts = {}
+        for c in unhit:
+            for v in c:
+                counts[v] = counts.get(v, 0) + 1
+        best = max(counts, key=lambda v: (counts[v], -v))
+        chosen.add(best)
+        unhit = [c for c in unhit if best not in c]
+    return tuple(sorted(chosen))

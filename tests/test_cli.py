@@ -2,6 +2,7 @@
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -43,7 +44,7 @@ def test_gen_cycle_golden(capsys):
 
 
 def test_gen_prism_roundtrip_and_legend(prism9):
-    text = open(prism9).read()
+    text = Path(prism9).read_text()
     lines = text.splitlines()
     assert sum(1 for ln in lines if ln.startswith("e ")) == 45
     assert any(ln.startswith("c ") and "vbar" in ln for ln in lines)
@@ -271,6 +272,22 @@ def test_scan_order_limit_refused_before_solving(capsys):
             assert f"scan stop {stop} has prism order {2 * stop}, above the limit of {MAX_ORDER}" in err
     assert time.perf_counter() - start < 1.0
     assert _prism.cache_info().misses == built
+
+
+def test_pattern_and_conditions_order_limit(capsys, tmp_path):
+    # The same rule as `scan`: n above MAX_ORDER // 2 exits 64 before any row
+    # is built; `conditions` refuses before it opens its code file.
+    missing = str(tmp_path / "missing.txt")
+    start = time.perf_counter()
+    for n in (MAX_ORDER // 2 + 1, 10**8):
+        for argv in (["pattern", str(n)], ["conditions", str(n), missing]):
+            code, out, err = run(capsys, *argv)
+            assert code == 64 and out == "", argv
+            assert f"{argv[0]} {n} has prism order {2 * n}, above the limit of {MAX_ORDER}" in err
+    assert time.perf_counter() - start < 1.0
+    n = MAX_ORDER // 2
+    code, out, _ = run(capsys, "pattern", str(n))
+    assert code == 0 and [len(row) for row in out.split()] == [n, n]
 
 
 def test_scan_infeasible_rows(capsys):

@@ -201,6 +201,26 @@ def test_greedy_code_valid_and_infeasibility():
     assert err.value.witness == closed_twins(complementary_prism(cycle(6)), 2)[0]
 
 
+def test_greedy_code_equals_recounting_reference():
+    # The bitset greedy must pick exactly what recounting every unhit
+    # constraint picks: the highest count, then the lowest vertex.
+    rng = random.Random(9)
+    checked = 0
+    for order in range(2, 31):
+        for d in (1, 2):
+            for p in (0.2, 0.5, 0.8):
+                for _ in range(5):
+                    inst = hitting_instance(random_graph(order, rng, p), d)
+                    if inst.feasible:
+                        assert greedy_code(inst) == bf.greedy_hitting_set(inst.constraints), (order, d)
+                        checked += 1
+    assert checked >= 400
+    for n in range(3, 30):
+        inst = hitting_instance(complementary_prism(cycle(n)), 1)
+        if inst.feasible:
+            assert greedy_code(inst) == bf.greedy_hitting_set(inst.constraints), n
+
+
 def test_report_json_shapes():
     g = complementary_prism(cycle(9))
     ix = PrismIndexing(9)

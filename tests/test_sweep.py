@@ -94,3 +94,6 @@ def test_scope_errors():
         random_codes(32, 10, seed=0)
     with pytest.raises(ValueError):
         definition_satisfied(2, all_codes(9))
+    for n in (32, 40):
+        with pytest.raises(ValueError, match=r"^vectorized sweeps support 3 <= n <= 31$"):
+            condition_satisfied(n, np.zeros(4, dtype=np.uint64))

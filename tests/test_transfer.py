@@ -8,6 +8,7 @@ and 10, and with the frozen optima up to n = 22.  The DP's lex-min pair
 is compared with brute force at n = 9 and 10 and with branch and bound.
 """
 
+import hashlib
 import json
 from functools import lru_cache
 from pathlib import Path
@@ -88,6 +89,15 @@ def test_lexmin_pair_is_clean_at_the_floor():
         pair = lexmin_pair(n)
         assert pair.size == condition_floor(n) and check_conditions(pair).ok, n
         assert verify_code(pair) == (n not in (9, 10, 12)), n
+
+
+def test_lexmin_pairs_frozen():
+    # SHA-256 of the lines "n x xbar" (x, xbar: the pair's row bitmasks) for
+    # n = 9..120, taken from the implementation with 3-D walk tables and
+    # forward tables for the bar row: a rewrite of the DP must keep every pair.
+    pairs = {n: lexmin_pair(n) for n in range(9, 121)}
+    lines = "".join(f"{n} {p.x} {p.xbar}\n" for n, p in pairs.items())
+    assert hashlib.sha256(lines.encode()).hexdigest() == "6802b0b740a5e1b9a5d8d70f15043a794bc717dc687bd82e295e3a77341444ff"
 
 
 def test_floor_equals_frozen_optima():
