@@ -19,7 +19,12 @@ one and O(log order) expected for random splits.
 The point proved here computationally: lifting a layout tree to the
 complementary prism by replacing each leaf u with a cherry over u and its
 bar partner at most doubles the maximum class count.  check_doubling
-tests exactly that inequality for a concrete graph and tree.
+tests exactly that inequality for a concrete graph and tree.  It counts
+both trees in one pass over the base tree and never builds the lifted
+one: each base node stands for its lifted copy, whose cover is the base
+cover together with the bar partners.  prism_layout and class_profile
+build and count the lifted tree explicitly; the tests compare
+check_doubling against their composition.
 """
 
 from __future__ import annotations
@@ -237,10 +242,45 @@ class DoublingCheck:
 
 
 def check_doubling(g: Graph, t: LayoutTree) -> DoublingCheck:
-    """Compare class counts of (g, t) and of the lifted prism layout."""
-    base = class_profile(g, t)
-    lifted = class_profile(complementary_prism(g), prism_layout(t))
-    return DoublingCheck(base.max_classes, lifted.max_classes)
+    """Compare class counts of (g, t) and of the lifted prism layout.
+
+    One postorder pass over t keeps two stacks of class sets: one for t
+    itself, as in class_profile, and one for the lifted tree, which is
+    never built.  Base leaf u stands for the lifted cherry over u and
+    n + u, whose class set holds both prism rows with those two vertices
+    cleared; the lifted leaves below it count 1, which no cherry
+    undercuts.  A base internal node with cover m has lifted cover
+    m | m << n.  The result equals the maxima of class_profile(g, t) and
+    of class_profile(complementary_prism(g), prism_layout(t)), which the
+    tests use as the reference.
+    """
+    _check_cover(t, g.order)
+    n, adj, rows = g.order, g.adj, complementary_prism(g).adj
+    base_max = prism_max = 0
+    base_stack: list[set[int]] = []  # class sets of finished subtrees awaiting their parent
+    lifted_stack: list[set[int]] = []  # the same for their lifted copies
+    for node in t.postorder():
+        u = node.vertex
+        if u is not None:
+            keep = ~(1 << u | 1 << n + u)
+            base, lifted = {adj[u]}, {rows[u] & keep, rows[n + u] & keep}
+        else:
+            m = node.leaf_mask
+            keep = ~m
+            right = base_stack.pop()
+            base = {sig & keep for sig in base_stack.pop()}
+            base.update([sig & keep for sig in right])
+            keep = ~(m | m << n)
+            right = lifted_stack.pop()
+            lifted = {sig & keep for sig in lifted_stack.pop()}
+            lifted.update([sig & keep for sig in right])
+        base_stack.append(base)
+        lifted_stack.append(lifted)
+        if len(base) > base_max:
+            base_max = len(base)
+        if len(lifted) > prism_max:
+            prism_max = len(lifted)
+    return DoublingCheck(base_max, prism_max)
 
 
 def balanced_layout_tree(order: int) -> LayoutTree:

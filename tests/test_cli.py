@@ -1,5 +1,6 @@
 """Command line behavior: formats, exit codes, determinism."""
 
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -244,6 +245,14 @@ def test_cwcheck_random_and_file(capsys, tmp_path):
     for trials in ("0", "-3"):
         code, out, err = run(capsys, "cwcheck", "5", "--trials", trials)
         assert code == 64 and out == "" and "--trials must be positive" in err
+
+
+def test_cwcheck_frozen(capsys):
+    # SHA-256 of the output taken when check_doubling still built the lifted
+    # layout tree: the one-pass walk must reproduce every trial's counts.
+    code, out, _ = run(capsys, "cwcheck", "40", "--trials", "200", "--seed", "7", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == "7b241e408365ad4e82848aa2a3714eaa43cb17e9a96fc59d56cf0baddb169383"
 
 
 def test_scan_text_and_json(capsys):

@@ -69,6 +69,18 @@ def test_graph_validation():
         a, b = (a, b) if add else (b, a)  # the entry left without a mirror
         with pytest.raises(ValueError, match=f"^edge {a},{b} is not symmetric$"):
             Graph(order, rows)
+    # One-way entries at the corners of the largest order, and in the last
+    # partial byte of an order that is not a multiple of 8.
+    for order, a, b in ((1024, 0, 1023), (1024, 1023, 0), (1021, 1020, 1013), (1021, 3, 1018)):
+        rows = list(cycle(order).adj)
+        rows[b] &= ~(1 << a)
+        rows[a] |= 1 << b
+        with pytest.raises(ValueError, match=f"^edge {a},{b} is not symmetric$"):
+            Graph(order, rows)
+    assert Graph(0, []).edge_count == 0 and Graph(1, [0]).edge_count == 0
+    for order in (2, 7, 8, 9, 63, 64, 65, 200):
+        g = random_graph(order, rng)
+        assert type(g.edge_count) is int and g.edge_count == len(list(g.edges()))
 
 
 def test_complement_triangle_and_involution():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from prismcode.graphs import GraphFormatError, complementary_prism, cycle, random_graph, Graph
 from prismcode.layout import (
+    DoublingCheck,
     LayoutTree,
     balanced_layout_tree,
     check_doubling,
@@ -52,6 +53,12 @@ def test_c4_caterpillar_frozen():
     assert prof.counts == (1, 1, 2, 1, 2, 1, 1)
     assert prof.max_classes == 2
     assert prof.max_leaves == (0, 1)
+
+
+def reference_doubling(g, t):
+    """check_doubling's reference: class_profile of t and of the built lifted tree."""
+    lifted = class_profile(complementary_prism(g), prism_layout(t))
+    return DoublingCheck(class_profile(g, t).max_classes, lifted.max_classes)
 
 
 def caterpillar(order):
@@ -108,7 +115,7 @@ def test_caterpillar_at_max_order():
     assert spine == [2] + [3] * (order - 4) + [2, 1]
     result = check_doubling(cycle(order), t)
     assert result.base_max == 3 and result.ok
-    assert result.prism_max == class_profile(complementary_prism(cycle(order)), lifted).max_classes
+    assert result == reference_doubling(cycle(order), t)
 
 
 def test_root_and_leaves_count_one():
@@ -161,6 +168,7 @@ def test_check_doubling_k2():
 def test_check_doubling_cycles_balanced(n):
     result = check_doubling(cycle(n), balanced_layout_tree(n))
     assert result.ok
+    assert result == reference_doubling(cycle(n), balanced_layout_tree(n))
     if n >= 5:
         assert (result.base_max, result.prism_max) == (3, 6)
 
@@ -178,11 +186,10 @@ def test_random_layout_tree_deterministic():
 @given(st.integers(0, 2 ** 14 - 1))
 def test_doubling_random(seed):
     rng = random.Random(seed)
-    order = rng.randint(1, 9)
+    order = rng.randint(1, 40)  # the orders of the benchmark's doubling items
     g = random_graph(order, rng)
     t = random_layout_tree(order, rng)
     result = check_doubling(g, t)
     assert result.ok
-    # the lifted profile is the profile of the lifted objects, nothing else
-    lifted = class_profile(complementary_prism(g), prism_layout(t))
-    assert result.prism_max == lifted.max_classes
+    # the implicit lifted walk gives the profile of the lifted objects
+    assert result == reference_doubling(g, t)
