@@ -2,11 +2,12 @@
 
 Library layout: graphs (bitset graphs and prism constructions), idcode
 (definitional verification and the hitting-set reduction), cycleprism
-(the position-condition system, the periodic pattern, bounds, and the
-local exchange), sweep (vectorized whole-space cross-checks), transfer
-(the column transfer DP's certified lower bound), solver (exact
+(the position-condition system, the periodic pattern, bounds, the
+closed-form condition floor and lex-min pair, and the local exchange),
+sweep (vectorized whole-space cross-checks), solver (exact
 optimization), layout (class-count doubling on layout trees), cli (the
-prismcode command).
+prismcode command).  The column transfer DP that the closed forms were
+read from lives in the tests as their reference.
 """
 
 from .cycleprism import (
@@ -14,6 +15,7 @@ from .cycleprism import (
     ConditionReport,
     ExchangeResult,
     check_conditions,
+    condition_floor,
     exchange,
     lower_bound,
     pattern_code,
@@ -59,7 +61,6 @@ from .solver import (
     ic_table,
     solve_min_idcode,
 )
-from .transfer import condition_floor
 
 __version__ = "0.1.0"
 

@@ -52,7 +52,8 @@ class Graph:
         packed = np.frombuffer(b"".join([row.to_bytes(size, "little") for row in rows]), np.uint8)
         matrix = np.unpackbits(packed.reshape(order, size), axis=1, count=order, bitorder="little")
         if not np.array_equal(matrix, matrix.T):
-            raise _asymmetry(rows)
+            u, v = np.argwhere(matrix > matrix.T)[0]  # the first entry, row by row, without a mirror
+            raise ValueError(f"edge {u},{v} is not symmetric")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "adj", rows)
         object.__setattr__(self, "_edge_count", int(np.count_nonzero(matrix)) // 2)
@@ -101,12 +102,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(order={self.order}, edges={self.edge_count})"
-
-
-def _asymmetry(rows: Sequence[int]) -> ValueError:
-    """The error naming the first entry u,v, row by row, whose mirror v,u is missing."""
-    u, v = next((u, v) for u, row in enumerate(rows) for v in bits(row) if not rows[v] >> u & 1)
-    return ValueError(f"edge {u},{v} is not symmetric")
 
 
 def bits(mask: int) -> Iterator[int]:

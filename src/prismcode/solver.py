@@ -14,17 +14,17 @@ bounds the vertices still needed, and the first narrowest live part is
 the one branched on.
 
 On the prism of C_n with n >= 9 at d = 1, the branch-and-bound strategy
-first asks the transfer DP: `transfer.condition_floor` is the least size
-of a code pair meeting the necessary condition system, and
-`transfer.lexmin_pair` the lex-min such pair.  A size cap below the floor
-is answered cap-exceeded at once; a lex-min pair that passes
-`verify_code` is the answer, with nodes = 0 (every optimal code is a
-clean pair of at least the floor's size, so it is optimal and lex-min
-among the optima).  Otherwise (n = 9, 10 and 12 among those checked, where
-the conditions are not sufficient) the search runs, starting from the
-floor as a lower bound: once the incumbent reaches it, only
-lexicographically smaller ties are searched.  Other inputs, and the
-exhaustive strategy, take neither the DP nor the floor.
+first takes two closed forms from `cycleprism`: `condition_floor` is the
+least size of a code pair meeting the necessary condition system, and
+`lexmin_pair` the lex-min such pair.  A size cap below the floor is
+answered cap-exceeded at once; a lex-min pair that passes `verify_code`
+is the answer, with nodes = 0 (every optimal code is a clean pair of at
+least the floor's size, so it is optimal and lex-min among the optima).
+Otherwise (n = 9, 10 and 12, where the conditions are not sufficient)
+the search runs, starting from the floor as a lower bound: once the
+incumbent reaches it, only lexicographically smaller ties are searched.
+Other inputs, and the exhaustive strategy, take neither the closed forms
+nor the floor.
 That shared canonical answer is the determinism contract: strategies
 agree on everything except wall-clock time and node counts, and repeated
 runs on everything except wall-clock time.
@@ -40,10 +40,11 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .cycleprism import _prism, lower_bound, pattern_code, prism_cycle_length, upper_bound, verify_code
+from .cycleprism import (
+    _prism, condition_floor, lexmin_pair, lower_bound, pattern_code, prism_cycle_length, upper_bound, verify_code,
+)
 from .graphs import Graph, PrismIndexing, bits, mask_of
 from .idcode import HittingInstance, greedy_code, hitting_instance, hits_all, vertex_label
-from .transfer import condition_floor, lexmin_pair
 
 STRATEGIES = ("exhaustive", "bnb")
 
@@ -94,7 +95,7 @@ def solve_min_idcode(g: Graph, d: int, options: Optional[SolverOptions] = None) 
     With a size cap, CAP_EXCEEDED certifies that no code of size <= cap
     exists; OPTIMAL results are always true optima, and the reported code
     is the lexicographically smallest one of optimal size.  nodes is 0
-    when the transfer DP answers (see the module docstring).
+    when the closed-form pair answers (see the module docstring).
     """
     opts = options or SolverOptions()
     start = time.perf_counter()
@@ -122,7 +123,7 @@ def solve_min_idcode(g: Graph, d: int, options: Optional[SolverOptions] = None) 
 
 
 def _prism_floor(g: Graph, d: int) -> int:
-    """The transfer floor when g is the prism of C_n, n >= 9, at d = 1; else 0."""
+    """condition_floor(n) when g is the prism of C_n, n >= 9, at d = 1; else 0."""
     n = prism_cycle_length(g) if d == 1 and g.order >= 18 else None
     return 0 if n is None else condition_floor(n)
 

@@ -77,6 +77,11 @@ def test_graph_validation():
         rows[a] |= 1 << b
         with pytest.raises(ValueError, match=f"^edge {a},{b} is not symmetric$"):
             Graph(order, rows)
+    # A dense graph: the unmirrored entry is in the last row, past about a million set bits.
+    rows = list(complement(cycle(1024)).adj)
+    rows[1] &= ~(1 << 1023)
+    with pytest.raises(ValueError, match="^edge 1023,1 is not symmetric$"):
+        Graph(1024, rows)
     assert Graph(0, []).edge_count == 0 and Graph(1, [0]).edge_count == 0
     for order in (2, 7, 8, 9, 63, 64, 65, 200):
         g = random_graph(order, rng)

@@ -27,7 +27,7 @@ from prismcode.solver import (
     ic_table,
     solve_min_idcode,
 )
-from prismcode.transfer import condition_floor, lexmin_pair
+from prismcode.cycleprism import condition_floor, lexmin_pair
 
 import bruteforce as bf
 
@@ -248,7 +248,7 @@ def test_floor_applies_only_to_prisms_of_cycles_at_radius_1():
 
 
 def test_transfer_route_answers_prisms_of_cycles_without_search():
-    # The DP's lex-min pair identifies for every n here but 9, 10 and 12; there the
+    # The lex-min pair identifies for every n here but 9, 10 and 12; there the
     # conditions are not sufficient, and branch and bound answers from the floor.
     for n in range(9, 31):
         res = solve_min_idcode(complementary_prism(cycle(n)), 1)

@@ -1,14 +1,18 @@
-"""The transfer DP floor: its conditions are necessary, and it is exact where checked.
+"""The condition floor and lex-min pair: closed forms, certified and checked against the DP.
 
 Necessity is shown structurally: every condition instance contains the
 closed ball, or the symmetric difference of closed balls, of the prism
 vertices it names, computed by BFS on an independently built prism.  The
-floor is then compared with brute force over every code pair at n = 9
-and 10, and with the frozen optima up to n = 22.  The DP's lex-min pair
-is compared with brute force at n = 9 and 10 and with branch and bound.
+closed-form floor is certified as a lower bound for every n by a
+shortest-path potential over the column transfer graph, and compared
+with the reference transfer DP (`transfer_dp`), with brute force over
+every code pair at n = 9 and 10, and with the frozen optima up to
+n = 22.  The closed-form lex-min pair is compared with the DP's, with
+brute force at n = 9 and 10 and with branch and bound.
 """
 
 import hashlib
+import itertools
 import json
 from functools import lru_cache
 from pathlib import Path
@@ -22,9 +26,12 @@ from prismcode.cycleprism import (
     DOMINATION,
     SEP_ADJACENT,
     SEP_DISTANCE2,
+    _FLOOR_EXCESS,
     _prism,
     check_conditions,
+    condition_floor,
     condition_masks,
+    lexmin_pair,
     lower_bound,
     upper_bound,
     verify_code,
@@ -32,9 +39,9 @@ from prismcode.cycleprism import (
 from prismcode.idcode import hitting_instance
 from prismcode.solver import _bnb
 from prismcode.sweep import all_codes, condition_satisfied
-from prismcode.transfer import _tables, condition_floor, lexmin_pair
 
 import bruteforce as bf
+import transfer_dp as dp
 from test_solver import IC_VALUES
 
 REFERENCE = json.loads((Path(__file__).parents[1] / "perfbench" / "scan_reference.json").read_text())
@@ -107,17 +114,62 @@ def test_floor_equals_frozen_optima():
     assert {n: condition_floor(n) for n in frozen} == frozen
 
 
-def test_floor_within_bounds_and_periodic():
-    # (7n + e[n mod 9]) / 9, the values the DP gave when it was written.
-    e = (0, 2, -5, 6, -1, 1, 3, 5, -2)
-    for n in range(9, 69):
+def test_floor_equals_reference_dp():
+    for n in range(9, 121):
         floor = condition_floor(n)
-        assert lower_bound(n) <= floor <= upper_bound(n)[0]
-        assert 9 * floor == 7 * n + e[n % 9], n
+        assert floor == int(dp._reach(n).min()) and lower_bound(n) <= floor <= upper_bound(n)[0], n
+
+
+def test_lexmin_pair_equals_reference_dp():
+    for n in range(9, 61):
+        assert lexmin_pair(n) == dp.lexmin_pair(n), n
+
+
+def test_floor_certificate_for_every_n():
+    # Nodes (s, b, r): DP state s after a walk with b blind windows and a
+    # length of r mod 9.  A step appending a column of w members costs
+    # 9w - 7, so a closed n-column walk of reduced cost c holds (7n + c) / 9
+    # members.  With a potential d_s (d_s[v] <= d_s[u] + cost on every edge),
+    # every closed walk from s of length r mod 9 costs at least
+    # d_s[s, b, r] - d_s[s, 0, 0]; the least of these over s and b is then a
+    # lower bound on the floor's excess for every n with n % 9 == r.
+    states, cost, _ = dp._tables()
+    count = len(states)
+    nodes = 18 * count
+    node = lambda s, b, r: (2 * r + b) * count + s
+    u, v = [], []
+    for s, moves in enumerate(dp._successors()):
+        for t, blind in filter(None, moves):
+            for b, r in itertools.product(range(2 - blind), range(9)):
+                u.append(node(s, b, r))
+                v.append(node(t, b + blind, (r + 1) % 9))
+    u, v = np.array(u), np.array(v)
+    step = 9 * np.tile(cost, 18).astype(float) - 7  # the cost of every edge into a node
+    # Bellman-Ford from every (s, 0, 0) at once, one column per s; it settles
+    # in 24 rounds, and the round limit cannot make a wrong potential pass the
+    # edge check below.  into[:, x] lists the nodes with an edge into x, padded
+    # with an extra node held at inf.
+    into = [[] for _ in range(nodes)]
+    for a, b in zip(u.tolist(), v.tolist()):
+        into[b].append(a)
+    into = np.array([row + [nodes] * (4 - len(row)) for row in into]).T
+    starts = np.arange(count)
+    d = np.full((nodes + 1, count), np.inf)
+    d[node(starts, 0, 0), starts] = 0
+    for _ in range(100):
+        best = np.minimum.reduce(d[into], axis=0) + step[:, None]
+        if (best >= d[:-1]).all():
+            break
+        np.minimum(d[:-1], best, out=d[:-1])
+    # The certificate, checked edge by edge apart from the loop above.
+    assert (d[v] <= d[u] + step[v, None]).all()
+    origin = d[node(starts, 0, 0), starts]
+    excess = [min((d[node(starts, b, r), starts] - origin).min() for b in (0, 1)) for r in range(9)]
+    assert excess == list(_FLOOR_EXCESS)
 
 
 def test_transfer_tables_shape():
-    states, cost, pred = _tables()
+    states, cost, pred = dp._tables()
     assert len(states) == 228
     assert pred.shape == (2, 228, 4)
     assert cost.tolist() == [int(s >> 6).bit_count() for s in states]

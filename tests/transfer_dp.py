@@ -54,7 +54,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cycleprism import BAR_SEP, CodePair, _require_scope, condition_masks
+from prismcode.cycleprism import BAR_SEP, CodePair, _require_scope, condition_masks
 
 _REF_N = 9     # reference cycle length the window tables are read from
 _ANCHOR = 1    # the window's second column, position 1 at the reference n
