@@ -114,10 +114,18 @@ def test_floor_equals_frozen_optima():
     assert {n: condition_floor(n) for n in frozen} == frozen
 
 
+def test_floor_within_bounds_and_periodic():
+    # The analytic bounds hold at every accepted n, and the floor grows by 7
+    # members every 9 columns.
+    for n in range(9, 513):
+        floor = condition_floor(n)
+        assert lower_bound(n) <= floor <= upper_bound(n)[0], n
+        assert n < 18 or floor == condition_floor(n - 9) + 7, n
+
+
 def test_floor_equals_reference_dp():
     for n in range(9, 121):
-        floor = condition_floor(n)
-        assert floor == int(dp._reach(n).min()) and lower_bound(n) <= floor <= upper_bound(n)[0], n
+        assert condition_floor(n) == int(dp._reach(n).min()), n
 
 
 def test_lexmin_pair_equals_reference_dp():
