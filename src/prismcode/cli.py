@@ -11,6 +11,7 @@ to the documented JSON schemas.  Diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -249,28 +250,29 @@ def cmd_scan(args) -> int:
         raise GraphFormatError("need 3 <= start <= stop")
     _require_prism_order("scan stop", args.stop)
     rows = ic_table(range(args.start, args.stop + 1), args.d, SolverOptions(args.strategy, args.cap))
-    indexing_for = lambda n: PrismIndexing(n)
     if args.format == "json":
-        print(json.dumps([
-            {
+        payload = []
+        for r in rows:
+            indexing = PrismIndexing(r.n)
+            payload.append({
                 "n": r.n, "status": r.status, "size": r.size,
-                "code": None if r.code is None else [vertex_label(v, indexing_for(r.n)) for v in r.code],
-                "witness": None if r.witness is None else [vertex_label(v, indexing_for(r.n)) for v in r.witness],
+                "code": None if r.code is None else [vertex_label(v, indexing) for v in r.code],
+                "witness": None if r.witness is None else [vertex_label(v, indexing) for v in r.witness],
                 "lower": r.lower, "upper": r.upper, "pattern": r.pattern_size,
-            }
-            for r in rows
-        ]))
+            })
+        print(json.dumps(payload))
     else:
         for r in rows:
+            indexing = PrismIndexing(r.n)
             cells = [f"n {r.n}", f"status {r.status}"]
             if r.size is not None:
                 cells.append(f"size {r.size}")
             if r.lower is not None:
                 cells += [f"lower {r.lower}", f"upper {r.upper}", f"pattern {r.pattern_size}"]
             if r.code is not None:
-                cells.append("code " + ",".join(_label(v, indexing_for(r.n)) for v in r.code))
+                cells.append("code " + ",".join(_label(v, indexing) for v in r.code))
             if r.witness is not None:
-                cells.append("witness " + ",".join(_label(v, indexing_for(r.n)) for v in r.witness))
+                cells.append("witness " + ",".join(_label(v, indexing) for v in r.witness))
             print("  ".join(cells))
     return 0
 
@@ -346,9 +348,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Building the parser costs milliseconds, parsing one command line tens of
+# microseconds, so main builds it once per process.  parse_args keeps no
+# state between calls.
+_main_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _main_parser().parse_args(argv)
     try:
         return args.func(args)
     except (GraphFormatError, OSError) as exc:

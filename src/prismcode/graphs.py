@@ -39,18 +39,23 @@ class Graph:
             raise ValueError("adjacency length must equal order")
         full = (1 << order) - 1
         rows = tuple(adj)
-        for u, row in enumerate(rows):
-            if row & ~full:
-                raise ValueError(f"row {u} mentions vertices outside 0..{order - 1}")
-            if row >> u & 1:
-                raise ValueError(f"self-loop at vertex {u}")
-        # Symmetry: the rows, packed little-endian and unpacked into an
-        # order x order 0/1 matrix (bit v of row u at [u, v]), equal its
-        # transpose.  That costs order^2 / 8 bytes of numpy work instead of
-        # one interpreted step per edge.
+        # Rows 0..bad-1 lie in 0..full, and row bad, if any, does not.
+        bad = order
+        if rows and not 0 <= min(rows) <= max(rows) <= full:
+            bad = next(u for u, row in enumerate(rows) if not 0 <= row <= full)
+        # Those rows, packed little-endian and unpacked into a 0/1 matrix
+        # (bit v of row u at [u, v]), carry the self-loops on its diagonal
+        # and, when every row is in range, equal its transpose.  That costs
+        # order^2 / 8 bytes of numpy work instead of one interpreted step
+        # per row or edge.  The first offending row is reported: a
+        # self-loop above row bad, else row bad's range error.
         size = (order + 7) // 8
-        packed = np.frombuffer(b"".join([row.to_bytes(size, "little") for row in rows]), np.uint8)
-        matrix = np.unpackbits(packed.reshape(order, size), axis=1, count=order, bitorder="little")
+        packed = np.frombuffer(b"".join([row.to_bytes(size, "little") for row in rows[:bad]]), np.uint8)
+        matrix = np.unpackbits(packed.reshape(bad, size), axis=1, count=order, bitorder="little")
+        if np.count_nonzero(matrix.diagonal()):
+            raise ValueError(f"self-loop at vertex {np.flatnonzero(matrix.diagonal())[0]}")
+        if bad < order:
+            raise ValueError(f"row {bad} mentions vertices outside 0..{order - 1}")
         if not np.array_equal(matrix, matrix.T):
             u, v = np.argwhere(matrix > matrix.T)[0]  # the first entry, row by row, without a mirror
             raise ValueError(f"edge {u},{v} is not symmetric")

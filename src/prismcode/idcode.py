@@ -23,7 +23,11 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .graphs import BallTable, Graph, PrismIndexing, ball_table, bits, mask_of
+from .graphs import BallTable, Graph, PrismIndexing, ball_table, mask_of
+
+# Constraints per transpose in greedy_code: a chunk's 0/1 matrix takes
+# _CHUNK bytes per vertex of the universe.
+_CHUNK = 1 << 13
 
 
 class InfeasibleInstanceError(ValueError):
@@ -122,13 +126,29 @@ def hits_all(masks: np.ndarray, constraints: Iterable[int]) -> np.ndarray:
     Whether any mask survives is asked only after constraints 1, 2, 4,
     8, ...: a block that empties stops within twice the constraints that
     emptied it, and a block that never does pays log2 of their number.
+    At the same checkpoints, once fewer than half of the masks still
+    live, the survivors and their positions are gathered, so later
+    constraints touch only them.
     """
-    ok = np.ones(masks.shape, dtype=bool)
+    live = masks.reshape(-1)
+    where = None  # positions of live in the flattened masks; None while nothing was dropped
+    ok = np.ones(live.shape, dtype=bool)
     for i, c in enumerate(constraints, 1):
-        ok &= (masks & np.uint64(c)) != 0
-        if not i & (i - 1) and not ok.any():
-            break
-    return ok
+        ok &= (live & np.uint64(c)) != 0
+        if not i & (i - 1):
+            alive = np.count_nonzero(ok)
+            if not alive:
+                break
+            if 2 * alive < len(live):
+                keep = np.flatnonzero(ok)
+                live = live[keep]
+                where = keep if where is None else where[keep]
+                ok = np.ones(alive, dtype=bool)
+    if where is None:
+        return ok.reshape(masks.shape)
+    out = np.zeros(masks.size, dtype=bool)
+    out[where] = ok
+    return out.reshape(masks.shape)
 
 
 def hitting_instance(g: Graph, d: int) -> HittingInstance:
@@ -160,19 +180,28 @@ def greedy_code(inst: HittingInstance) -> tuple[int, ...]:
     result is a valid code whenever the instance is feasible, which upper
     bounds the optimum for solver warm starts.
 
-    Cost: one pass over every constraint's members builds, for each
-    vertex, the bitset of the constraint indices it hits.  Each round
-    then costs one `bit_count` per vertex of the universe, against the
-    bitset of unhit constraints, instead of a recount of the members of
-    every unhit constraint.
+    Cost: each vertex gets the bitset of the constraint indices it hits
+    by one transpose of the constraint bit matrix, as `Graph` checks
+    symmetry: the constraints, packed little-endian and unpacked into a
+    constraints x universe 0/1 matrix, are transposed and packed again,
+    one row per vertex.  That runs in numpy, _CHUNK constraints at a time
+    so the matrix stays small.  Each round then costs one `bit_count`
+    per vertex, against the bitset of unhit constraints, instead of a
+    recount of the members of every unhit constraint.
     """
     if inst.infeasible_pairs:
         raise InfeasibleInstanceError(inst.infeasible_pairs[0])
-    hits = [0] * inst.universe
-    for i, c in enumerate(inst.constraints):
-        for v in bits(c):
-            hits[v] |= 1 << i
-    unhit = (1 << len(inst.constraints)) - 1
+    universe, constraints = inst.universe, inst.constraints
+    size = (universe + 7) // 8
+    hits = [0] * universe
+    for start in range(0, len(constraints), _CHUNK):
+        part = constraints[start:start + _CHUNK]
+        packed = np.frombuffer(b"".join([c.to_bytes(size, "little") for c in part]), np.uint8)
+        matrix = np.unpackbits(packed.reshape(len(part), size), axis=1, count=universe, bitorder="little")
+        columns = np.packbits(matrix.T, axis=1, bitorder="little")
+        for v in range(universe):
+            hits[v] |= int.from_bytes(columns[v].tobytes(), "little") << start
+    unhit = (1 << len(constraints)) - 1
     chosen: list[int] = []
     while unhit:
         best, most = 0, 0

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from prismcode import cli
 from prismcode.cli import main
 from prismcode.cycleprism import _prism
 from prismcode.graphs import MAX_ORDER, complementary_prism, cycle, parse_graph
@@ -304,3 +305,19 @@ def test_scan_infeasible_rows(capsys):
     assert code == 0
     assert out.count("status infeasible") == 2
     assert "witness vbar1,vbar2" in out
+
+
+def test_main_reuses_one_parser(capsys):
+    # main builds its parser once; each call must parse as a fresh parser would.
+    for argv in (["scan", "9", "10", "--json"], ["pattern", "9", "--box"], ["scan", "9", "10"]):
+        assert vars(cli._main_parser().parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+    assert cli._main_parser() is cli._main_parser()
+    code, out, _ = run(capsys, "scan", "9", "10", "--json")
+    assert code == 0 and [row["size"] for row in json.loads(out)] == [7, 8]
+    code, out, _ = run(capsys, "pattern", "9")
+    assert code == 0 and out == "111000000\n000011110\n"
+    code, out, _ = run(capsys, "scan", "9", "9")
+    assert code == 0 and out.startswith("n 9  status optimal")  # text again: no --json carried over
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "9"])
+    assert exc.value.code == 64

@@ -82,6 +82,16 @@ def test_graph_validation():
     rows[1] &= ~(1 << 1023)
     with pytest.raises(ValueError, match="^edge 1023,1 is not symmetric$"):
         Graph(1024, rows)
+    # Range and self-loop errors name the first offending row; within a row
+    # the range error comes first.
+    with pytest.raises(ValueError, match=r"^row 1 mentions vertices outside 0\.\.2$"):
+        Graph(3, [0, -1, 0])  # a negative row, not an OverflowError from to_bytes
+    with pytest.raises(ValueError, match=r"^row 4 mentions vertices outside 0\.\.4$"):
+        Graph(5, [0, 0, 0, 0, 1 << 6])  # bit 6 is in the last partial byte
+    with pytest.raises(ValueError, match="^self-loop at vertex 1$"):
+        Graph(3, [0, 2, 8])  # self-loop in row 1, vertex 3 in row 2
+    with pytest.raises(ValueError, match=r"^row 1 mentions vertices outside 0\.\.2$"):
+        Graph(3, [0, 8 | 2, 4])  # row 1 holds both faults, row 2 a self-loop
     assert Graph(0, []).edge_count == 0 and Graph(1, [0]).edge_count == 0
     for order in (2, 7, 8, 9, 63, 64, 65, 200):
         g = random_graph(order, rng)

@@ -19,6 +19,7 @@ from prismcode.graphs import (
     random_graph,
 )
 from prismcode.idcode import (
+    HittingInstance,
     InfeasibleInstanceError,
     greedy_code,
     hitting_instance,
@@ -219,6 +220,10 @@ def test_greedy_code_equals_recounting_reference():
         inst = hitting_instance(complementary_prism(cycle(n)), 1)
         if inst.feasible:
             assert greedy_code(inst) == bf.greedy_hitting_set(inst.constraints), n
+    assert greedy_code(HittingInstance(0, (), ())) == bf.greedy_hitting_set(()) == ()
+    for d in (1, 2):
+        inst = hitting_instance(Graph(1, [0]), d)
+        assert greedy_code(inst) == bf.greedy_hitting_set(inst.constraints) == (0,)
 
 
 def test_report_json_shapes():

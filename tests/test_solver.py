@@ -3,6 +3,7 @@
 import json
 import random
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -277,17 +278,39 @@ def test_hitting_export_golden():
     assert twins == "c twin 1 2\nc twin 1 3\nc twin 2 3\nh 3 1\n1 2 3\n"
 
 
-@pytest.mark.parametrize("block", [7, solver._BLOCK])
+def _combination_walk(universe, constraints, cap):
+    """(size, code, nodes) of the first hitting set among the subsets of size
+    at most cap in (size, lex) order, nodes its 1-based position; (None,
+    None, subsets walked) when there is none."""
+    walk = (c for k in range(cap + 1) for c in combinations(range(universe), k))
+    nodes = 0
+    for nodes, code in enumerate(walk, 1):
+        if all(mask_of(code) & x for x in constraints):
+            return len(code), code, nodes
+    return None, None, nodes
+
+
+@pytest.mark.parametrize("block", [1, 7, solver._BLOCK])
 def test_exhaustive_matches_combination_walk(monkeypatch, block):
     # nodes is the 1-based position of the first hitting set in (size, lex)
-    # order; a block of 7 splits every size over many partial blocks.
+    # order; blocks of 1 and 7 split every size over many partial blocks.
     monkeypatch.setattr(solver, "_BLOCK", block)
     corpus = [complementary_prism(cycle(5)), path_graph(7), random_graph(9, random.Random(2))]
     for g in corpus:
         inst = hitting_instance(g, 1)
-        walk = (c for k in range(g.order + 1) for c in combinations(range(g.order), k))
-        nodes, code = next(
-            (i, c) for i, c in enumerate(walk, 1) if all(mask_of(c) & x for x in inst.constraints)
-        )
         res = solve_min_idcode(g, 1, EXH)
-        assert (res.size, res.code, res.nodes) == (len(code), code, nodes)
+        assert (res.size, res.code, res.nodes) == _combination_walk(g.order, inst.constraints, g.order)
+
+
+def test_exhaustive_splits_large_sizes_without_a_patched_block():
+    # C(63, 3) > _BLOCK, so size 3 is walked in blocks split on the smallest vertex.
+    assert comb(63, 3) > solver._BLOCK >= comb(63, 2)
+    rng = random.Random(23)
+    groups = [rng.sample(range(20, 63), 4) for _ in range(3)]
+    hit3 = HittingInstance(63, tuple(mask_of(g) for g in groups) + (mask_of(range(30, 63)),), ())
+    miss = HittingInstance(63, tuple(mask_of(range(a, 63, 4)) for a in range(4)), ())  # needs 4 vertices
+    got = [solver._exhaustive(inst, 3) for inst in (hit3, miss)]
+    assert got == [_combination_walk(63, inst.constraints, 3) for inst in (hit3, miss)]
+    assert got[0][0] == 3 and got[1] == (None, None, sum(comb(63, k) for k in range(4)))
+    with pytest.raises(ValueError, match="order at most 63"):
+        solver._exhaustive(HittingInstance(64, (1,), ()), 1)
