@@ -36,10 +36,10 @@ from fractions import Fraction
 from functools import lru_cache
 import json
 import math
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .graphs import BallTable, Graph, ball_table, bits, complementary_prism, cycle
-from .idcode import is_identifying_code
+from .graphs import Graph, ball_table, bits, complementary_prism, cycle
+from .idcode import verification_report
 
 DOMINATION = "dom"                     # a cycle vertex's view of the code is empty
 SEP_ADJACENT = "sep-adjacent"          # cycle vertices one step apart see the same view
@@ -113,8 +113,7 @@ class CodePair:
 
     def bad_indices(self) -> frozenset:
         """Positions whose column is all-zero: neither the cycle nor the bar vertex chosen."""
-        both = self.x | self.xbar
-        return frozenset(a for a in range(self.n) if not both >> a & 1)
+        return frozenset(bits((1 << self.n) - 1 & ~(self.x | self.xbar)))
 
     def blind_bar(self) -> frozenset:
         """Positions a with xbar[a-1] = x[a] = xbar[a+1] = 0.
@@ -122,11 +121,7 @@ class CodePair:
         The bar vertex at such a position meets the code in exactly the
         whole bar side, so any two blind positions are unseparated.
         """
-        n = self.n
-        return frozenset(
-            a for a in range(n)
-            if not (self.xbar >> (a - 1) % n & 1 or self.x >> a & 1 or self.xbar >> (a + 1) % n & 1)
-        )
+        return frozenset(bits(_missed(self, *_BLIND)))
 
 
 class Condition(NamedTuple):
@@ -169,6 +164,54 @@ def _require_scope(n: int) -> None:
         raise ValueError("the condition system is stated for n >= 9")
 
 
+# The condition families as windows.  Instance a of a family lists the
+# cycle positions a + c and the bar positions a + b, over the family's
+# cycle offsets c and bar offsets b, as the positions of which at least
+# one must be in the code; its indices are (a,) without a partner step,
+# else (a, a + step).  BAR_SEP is the one pair family: instance (a, b)
+# lists the blind windows of both a and b, for every ordered pair with
+# b - a other than 0 and 2 mod n.
+_BLIND = ((0,), (-1, 1))  # cycle and bar offsets of the blind window
+_WINDOWS = (
+    (DOMINATION, (-1, 0, 1), (0,), None),
+    (SEP_ADJACENT, (-1, 2), (0, 1), 1),
+    (SEP_DISTANCE2, (-1, 0, 2, 3), (0, 2), 2),
+    (BAR_SEP, *_BLIND, None),
+    (BAR_SEP_DISTANCE2, (0, 2), (-1, 3), 2),
+)
+
+
+def _missed(code: CodePair, cycle_offsets: tuple[int, ...], bar_offsets: tuple[int, ...]) -> int:
+    """Row of the anchors a whose window misses the code: no x[a + c], no xbar[a + b].
+
+    In a row doubled to 2n bits, bit a + k is bit (a + k) mod n of the row,
+    so a right shift by k mod n lines position a + k up with anchor a.
+    """
+    n = code.n
+    x, xbar = code.x | code.x << n, code.xbar | code.xbar << n
+    hit = 0
+    for c in cycle_offsets:
+        hit |= x >> c % n
+    for b in bar_offsets:
+        hit |= xbar >> b % n
+    return (1 << n) - 1 & ~hit
+
+
+def _indices(a: int, step: Optional[int], n: int) -> tuple[int, ...]:
+    return (a,) if step is None else (a, (a + step) % n)
+
+
+def _bar_sep_pairs(positions: list[int], n: int) -> Iterator[tuple[int, int]]:
+    """Ordered pairs of the ascending positions with b - a other than 0 and 2 mod n.
+
+    Report order: by a, then by b - a mod n.
+    """
+    for i, a in enumerate(positions):
+        for b in positions[i + 1:] + positions[:i]:
+            if (b - a) % n != 2:
+                yield a, b
+
+
 @lru_cache(maxsize=None)
 def condition_masks(n: int) -> tuple[Condition, ...]:
     """Every condition instance for C_n's prism, in report order.
@@ -181,43 +224,39 @@ def condition_masks(n: int) -> tuple[Condition, ...]:
     same pair, whose mask it contains.
     """
     _require_scope(n)
-    x = lambda a: 1 << a % n
-    xb = lambda a: 1 << n + a % n
     out: list[Condition] = []
-    for a in range(n):
-        out.append(Condition(DOMINATION, (a,), x(a - 1) | x(a) | xb(a) | x(a + 1)))
-    for a in range(n):
-        out.append(Condition(SEP_ADJACENT, (a, (a + 1) % n), x(a - 1) | xb(a) | xb(a + 1) | x(a + 2)))
-    for a in range(n):
-        out.append(Condition(
-            SEP_DISTANCE2, (a, (a + 2) % n),
-            x(a - 1) | x(a) | xb(a) | x(a + 2) | xb(a + 2) | x(a + 3),
-        ))
-    for a in range(n):
-        for off in range(1, n):
-            if off == 2:
-                continue
-            b = (a + off) % n
-            out.append(Condition(
-                BAR_SEP, (a, b),
-                xb(a - 1) | x(a) | xb(a + 1) | xb(b - 1) | x(b) | xb(b + 1),
-            ))
-    for a in range(n):
-        out.append(Condition(
-            BAR_SEP_DISTANCE2, (a, (a + 2) % n),
-            xb(a - 1) | x(a) | x(a + 2) | xb(a + 3),
-        ))
+    for family, cycle_offsets, bar_offsets, step in _WINDOWS:
+        masks = [0] * n
+        for a in range(n):
+            for c in cycle_offsets:
+                masks[a] |= 1 << (a + c) % n
+            for b in bar_offsets:
+                masks[a] |= 1 << n + (a + b) % n
+        if family == BAR_SEP:
+            out += [Condition(family, (a, b), masks[a] | masks[b]) for a, b in _bar_sep_pairs(list(range(n)), n)]
+        else:
+            out += [Condition(family, _indices(a, step, n), masks[a]) for a in range(n)]
     return tuple(out)
 
 
 def check_conditions(code: CodePair) -> ConditionReport:
-    """Evaluate every condition instance against the code."""
+    """Evaluate every condition instance against the code.
+
+    Each family is evaluated on whole rows: the anchors whose windows
+    miss the code are the complement of the OR of the code's rows rotated
+    by the family's offsets.  BAR_SEP instances are violated exactly at
+    the pairs of blind positions, so the check costs O(n + blind^2)
+    integer operations, not one mask test per instance.
+    """
     _require_scope(code.n)
-    mask = code.vertex_mask
-    violations = tuple(
-        Violation(c.family, c.indices) for c in condition_masks(code.n) if not mask & c.mask
-    )
-    return ConditionReport(code.n, violations, code.bad_indices(), code.blind_bar())
+    violations: list[Violation] = []
+    for family, cycle_offsets, bar_offsets, step in _WINDOWS:
+        missed = list(bits(_missed(code, cycle_offsets, bar_offsets)))
+        if family == BAR_SEP:
+            violations += [Violation(family, pair) for pair in _bar_sep_pairs(missed, code.n)]
+        else:
+            violations += [Violation(family, _indices(a, step, code.n)) for a in missed]
+    return ConditionReport(code.n, tuple(violations), code.bad_indices(), code.blind_bar())
 
 
 @lru_cache(maxsize=64)
@@ -237,19 +276,14 @@ def prism_cycle_length(g: Graph) -> Optional[int]:
     return n
 
 
-@lru_cache(maxsize=64)
-def _prism_balls(n: int) -> BallTable:
-    return ball_table(_prism(n), 1)
-
-
 def verify_code(code: CodePair) -> bool:
     """Is the pair an identifying code of the prism of C_n?
 
-    Decided by the definitional verifier on the prism graph, with the
-    prism's radius-1 ball table cached per n.
+    Decided by the definitional verifier on the prism graph, whose
+    radius-1 ball table the cached prism keeps.
     """
     _require_scope(code.n)
-    return is_identifying_code(_prism(code.n), 1, code.vertices(), _prism_balls(code.n)).valid
+    return verification_report(ball_table(_prism(code.n), 1).balls, code.vertex_mask).valid
 
 
 def pattern_code(n: int) -> CodePair:

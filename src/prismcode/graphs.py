@@ -28,9 +28,13 @@ class GraphFormatError(ValueError):
 
 
 class Graph:
-    """Immutable undirected simple graph with int-bitset adjacency rows."""
+    """Immutable undirected simple graph with int-bitset adjacency rows.
 
-    __slots__ = ("order", "adj", "_edge_count")
+    ball_table caches each radius's balls tuple in _balls.  It holds the
+    tuple, not the BallTable, which refers back to the graph.
+    """
+
+    __slots__ = ("order", "adj", "_edge_count", "_balls")
 
     def __init__(self, order: int, adj: Sequence[int]):
         if order < 0:
@@ -62,6 +66,7 @@ class Graph:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "adj", rows)
         object.__setattr__(self, "_edge_count", int(np.count_nonzero(matrix)) // 2)
+        object.__setattr__(self, "_balls", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -210,13 +215,19 @@ class BallTable:
 
 
 def ball_table(g: Graph, d: int) -> BallTable:
-    """Balls via d rounds of neighborhood expansion; requires d >= 1."""
+    """Balls via d rounds of neighborhood expansion; requires d >= 1.
+
+    The balls are computed once per graph and radius and kept on the graph.
+    """
     if d < 1:
         raise ValueError("radius must be at least 1")
-    balls = [g.closed_row(u) for u in range(g.order)]
-    for _ in range(d - 1):
-        balls = [_expand(g, ball) for ball in balls]
-    return BallTable(g, d, tuple(balls))
+    balls = g._balls.get(d)
+    if balls is None:
+        rows = [g.closed_row(u) for u in range(g.order)]
+        for _ in range(d - 1):
+            rows = [_expand(g, ball) for ball in rows]
+        balls = g._balls[d] = tuple(rows)
+    return BallTable(g, d, balls)
 
 
 def _expand(g: Graph, ball: int) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -74,15 +74,27 @@ def is_identifying_code(
 
     An empty ball intersection at the smallest vertex wins over an
     unseparated pair; among unseparated pairs the lexicographically first
-    one is reported.  A precomputed BallTable for (g, d) may be passed to
-    amortize repeated checks.
+    one is reported.  A BallTable for (g, d) may be passed; without one,
+    ball_table's per-graph cache serves repeated checks.
     """
     if table is None:
         table = ball_table(g, d)
-    code_mask = mask_of(code)
-    if code_mask & ~((1 << g.order) - 1):
+    return verification_report(table.balls, mask_of(code))
+
+
+def verification_report(balls: Sequence[int], code_mask: int) -> VerificationReport:
+    """is_identifying_code's report for the code given as a vertex bitmask.
+
+    A valid code, whose views are all nonempty and pairwise distinct,
+    is answered from one set of the views; the scan for the first
+    failure runs only when that test fails.
+    """
+    if code_mask >> len(balls):
         raise ValueError("code mentions vertices outside the graph")
-    views = [table.balls[u] & code_mask for u in range(g.order)]
+    views = [ball & code_mask for ball in balls]
+    distinct = set(views)
+    if len(distinct) == len(views) and 0 not in distinct:
+        return VerificationReport(True)
     for u, view in enumerate(views):
         if not view:
             return VerificationReport(False, VerificationFailure("empty-ball", (u,)))
@@ -95,9 +107,7 @@ def is_identifying_code(
                 clash = pair
         else:
             seen[view] = u
-    if clash is not None:
-        return VerificationReport(False, VerificationFailure("unseparated", clash))
-    return VerificationReport(True)
+    return VerificationReport(False, VerificationFailure("unseparated", clash))
 
 
 @dataclass(frozen=True)

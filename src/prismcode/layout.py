@@ -20,11 +20,13 @@ The point proved here computationally: lifting a layout tree to the
 complementary prism by replacing each leaf u with a cherry over u and its
 bar partner at most doubles the maximum class count.  check_doubling
 tests exactly that inequality for a concrete graph and tree.  It counts
-both trees in one pass over the base tree and never builds the lifted
-one: each base node stands for its lifted copy, whose cover is the base
-cover together with the bar partners.  prism_layout and class_profile
-build and count the lifted tree explicitly; the tests compare
-check_doubling against their composition.
+both trees in one pass over the base tree and builds neither the lifted
+tree nor the prism: each base node stands for its lifted copy, whose
+cover is the base cover together with the bar partners, and each leaf's
+lifted classes come straight from its adjacency row.  prism_layout and
+class_profile build and count the lifted tree explicitly; the tests
+compare check_doubling against their composition with
+complementary_prism.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .graphs import Graph, GraphFormatError, bits, complementary_prism
+from .graphs import Graph, GraphFormatError, bits
 
 
 class LayoutTree:
@@ -245,25 +247,27 @@ def check_doubling(g: Graph, t: LayoutTree) -> DoublingCheck:
     """Compare class counts of (g, t) and of the lifted prism layout.
 
     One postorder pass over t keeps two stacks of class sets: one for t
-    itself, as in class_profile, and one for the lifted tree, which is
-    never built.  Base leaf u stands for the lifted cherry over u and
-    n + u, whose class set holds both prism rows with those two vertices
-    cleared; the lifted leaves below it count 1, which no cherry
-    undercuts.  A base internal node with cover m has lifted cover
-    m | m << n.  The result equals the maxima of class_profile(g, t) and
-    of class_profile(complementary_prism(g), prism_layout(t)), which the
+    itself, as in class_profile, and one for the lifted tree.  Neither the
+    lifted tree nor the complementary prism is built.  Base leaf u stands
+    for the lifted cherry over u and n + u, whose class set holds both
+    prism rows with those two vertices cleared: N(u) on the G side, and
+    the complement row of u shifted to the bar side.  The lifted leaves
+    below it count 1, which no cherry undercuts.  A base internal node
+    with cover m has lifted cover m | m << n.  The result equals the
+    maxima of class_profile(g, t) and of
+    class_profile(complementary_prism(g), prism_layout(t)), which the
     tests use as the reference.
     """
     _check_cover(t, g.order)
-    n, adj, rows = g.order, g.adj, complementary_prism(g).adj
+    n, adj = g.order, g.adj
+    full = (1 << n) - 1
     base_max = prism_max = 0
     base_stack: list[set[int]] = []  # class sets of finished subtrees awaiting their parent
     lifted_stack: list[set[int]] = []  # the same for their lifted copies
     for node in t.postorder():
         u = node.vertex
         if u is not None:
-            keep = ~(1 << u | 1 << n + u)
-            base, lifted = {adj[u]}, {rows[u] & keep, rows[n + u] & keep}
+            base, lifted = {adj[u]}, {adj[u], (full ^ adj[u] ^ 1 << u) << n}
         else:
             m = node.leaf_mask
             keep = ~m

@@ -24,9 +24,12 @@ from prismcode.cycleprism import (
     SEP_ADJACENT,
     SEP_DISTANCE2,
     CodePair,
+    ConditionReport,
+    Violation,
     check_conditions,
     condition_masks,
     exchange,
+    lexmin_pair,
     lower_bound,
     pattern_code,
     prism_cycle_length,
@@ -246,6 +249,15 @@ def test_verify_code_matches_definition(seed, n):
     assert verify_code(code) == want
 
 
+def test_verify_code_equals_definitional_verifier():
+    rng = random.Random(29)
+    for n in range(9, 31):
+        g = complementary_prism(cycle(n))  # a graph of its own, so its own ball table
+        codes = [pattern_code(n), lexmin_pair(n)] + [random_code(n, rng, bias) for bias in (0.15, 0.5, 0.85)]
+        for code in codes:
+            assert verify_code(code) == is_identifying_code(g, 1, code.vertices()).valid, code
+
+
 def test_verify_code_fallback_branch():
     # bar side empty: conditions alone would pass some of these, verify_code must not
     all_cycle = CodePair(9, (1 << 9) - 1, 0)
@@ -263,6 +275,38 @@ def test_condition_report_json():
     assert payload["blind_bar"] == [2, 4, 6, 8]
     clean = json.loads(check_conditions(pattern_code(9)).to_json())
     assert clean == {"ok": True, "violations": [], "bad_indices": [4, 9], "blind_bar": []}
+
+
+def reference_report(code):
+    """check_conditions' reference: one mask test per condition_masks instance,
+    and the bad and blind positions tested column by column."""
+    n, x, xbar = code.n, code.x, code.xbar
+    violations = tuple(Violation(c.family, c.indices) for c in condition_masks(n) if not code.vertex_mask & c.mask)
+    bad = frozenset(a for a in range(n) if not (x | xbar) >> a & 1)
+    blind = frozenset(
+        a for a in range(n) if not (xbar >> (a - 1) % n & 1 or x >> a & 1 or xbar >> (a + 1) % n & 1)
+    )
+    return ConditionReport(n, violations, bad, blind)
+
+
+def differential_pairs(ns, per_density, seed=13):
+    """For each n: the all-zero and all-one pairs, pattern_code, lexmin_pair,
+    and per_density seeded pairs at each of a low, middle and high density."""
+    rng = random.Random(seed)
+    row = lambda n, p: sum(1 << a for a in range(n) if rng.random() < p)
+    for n in ns:
+        yield from (CodePair(n, 0, 0), CodePair(n, (1 << n) - 1, (1 << n) - 1), pattern_code(n), lexmin_pair(n))
+        for p in (0.15, 0.5, 0.85):
+            for _ in range(per_density):
+                yield CodePair(n, row(n, p), row(n, p))
+
+
+def test_check_conditions_equals_mask_reference():
+    for code in differential_pairs(range(9, 41), per_density=4):
+        got, want = check_conditions(code), reference_report(code)
+        assert got.violations == want.violations, code
+        assert got.bad_indices == want.bad_indices and got.blind_bar == want.blind_bar, code
+        assert got.to_json() == want.to_json(), code
 
 
 # ------------------------------------------------------------------ exchange

@@ -163,6 +163,21 @@ def test_balls_equal_bfs(d):
             assert set(table.ball(u)) == bf.bfs_ball(adj, u, d)
 
 
+def test_ball_table_cached_per_graph():
+    for g in [cycle(9)] + random_graphs(seed=21, count=5):
+        h = hash(g)
+        assert ball_table(g, 1).balls is ball_table(g, 1).balls
+        adj = bf.to_adj(g)
+        for d in (3, 1, 2):
+            table = ball_table(g, d)
+            assert [set(table.ball(u)) for u in range(g.order)] == [bf.bfs_ball(adj, u, d) for u in range(g.order)]
+        fresh = Graph(g.order, g.adj)
+        assert fresh == g and hash(fresh) == hash(g) == h
+        with pytest.raises(AttributeError):
+            g.order = 1
+        assert g == fresh
+
+
 def test_ball_monotone_in_d():
     g = complementary_prism(cycle(5))
     b1, b2, b3 = (ball_table(g, d).balls for d in (1, 2, 3))

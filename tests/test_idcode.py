@@ -66,6 +66,7 @@ def test_witness_matches_oracle_on_random_codes():
     rng = random.Random(77)
     graphs = [cycle(6), path_graph(5), complementary_prism(cycle(4))]
     graphs += [random_graph(rng.randint(2, 7), rng) for _ in range(6)]
+    outcomes = set()
     for g in graphs:
         for d in (1, 2):
             for _ in range(20):
@@ -77,6 +78,17 @@ def test_witness_matches_oracle_on_random_codes():
                 else:
                     assert not rep.valid
                     assert (rep.failure.kind, rep.failure.vertices) == want
+                outcomes.add("valid" if rep.valid else rep.failure.kind)
+    assert outcomes == {"valid", "empty-ball", "unseparated"}  # each way out of the verifier
+
+
+def test_first_clash_found_in_a_later_class():
+    # The star centred at 0 with code {0, 3} gives views A, B, B, A: the clash
+    # (1, 2) is met first, but (0, 3) is lexicographically first.
+    g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    rep = is_identifying_code(g, 1, (0, 3))
+    assert (rep.failure.kind, rep.failure.vertices) == ("unseparated", (0, 3))
+    assert bf.first_failure(bf.to_adj(g), 1, (0, 3)) == ("unseparated", (0, 3))
 
 
 def test_code_outside_graph_rejected():

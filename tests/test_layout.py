@@ -164,6 +164,20 @@ def test_check_doubling_k2():
     assert result.base_max == 1 and result.prism_max == 2 and result.ok
 
 
+@pytest.mark.parametrize("g, want", [
+    (Graph(1, [0]), (1, 1)),  # the cherry over 0 and its partner collapses to one class
+    (Graph(2, [0, 0]), (1, 2)),
+    (Graph(6, [0] * 6), (1, 2)),  # empty graph
+    (Graph.from_edges(6, [(u, v) for u in range(6) for v in range(u + 1, 6)]), (1, 2)),  # K_6
+])
+def test_check_doubling_edge_cases(g, want):
+    rng = random.Random(g.order)
+    for t in (balanced_layout_tree(g.order), random_layout_tree(g.order, rng)):
+        result = check_doubling(g, t)
+        assert result == reference_doubling(g, t)
+        assert (result.base_max, result.prism_max) == want
+
+
 @pytest.mark.parametrize("n", range(3, 11))
 def test_check_doubling_cycles_balanced(n):
     result = check_doubling(cycle(n), balanced_layout_tree(n))

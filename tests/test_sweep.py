@@ -97,3 +97,11 @@ def test_scope_errors():
     for n in (32, 40):
         with pytest.raises(ValueError, match=r"^vectorized sweeps support 3 <= n <= 31$"):
             condition_satisfied(n, np.zeros(4, dtype=np.uint64))
+
+
+def test_seeded_sweep_at_largest_n():
+    codes = random_codes(31, 10**5, seed=31)
+    assert equivalence_sweep(31, codes).ok
+    head = codes[:2000]
+    clean = sum(check_conditions(CodePair.from_vertex_mask(31, int(c))).ok for c in head)
+    assert equivalence_sweep(31, head).condition_clean == clean > 0
