@@ -23,7 +23,6 @@ from .cycleprism import (
     verify_code,
 )
 from .graphs import (
-    BallTable,
     Graph,
     PrismIndexing,
     ball_table,

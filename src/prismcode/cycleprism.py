@@ -121,7 +121,7 @@ class CodePair:
         The bar vertex at such a position meets the code in exactly the
         whole bar side, so any two blind positions are unseparated.
         """
-        return frozenset(bits(_missed(self, *_BLIND)))
+        return frozenset(bits(_missed(self.n, self.x, self.xbar, *_BLIND)))
 
 
 class Condition(NamedTuple):
@@ -181,14 +181,15 @@ _WINDOWS = (
 )
 
 
-def _missed(code: CodePair, cycle_offsets: tuple[int, ...], bar_offsets: tuple[int, ...]) -> int:
+def _missed(n: int, x, xbar, cycle_offsets: tuple[int, ...], bar_offsets: tuple[int, ...]):
     """Row of the anchors a whose window misses the code: no x[a + c], no xbar[a + b].
 
     In a row doubled to 2n bits, bit a + k is bit (a + k) mod n of the row,
     so a right shift by k mod n lines position a + k up with anchor a.
+    The rows are Python ints for one pair, or uint64 arrays for many
+    (2n <= 62 bits) with one missed row per element.
     """
-    n = code.n
-    x, xbar = code.x | code.x << n, code.xbar | code.xbar << n
+    x, xbar = x | x << n, xbar | xbar << n
     hit = 0
     for c in cycle_offsets:
         hit |= x >> c % n
@@ -212,7 +213,7 @@ def _bar_sep_pairs(positions: list[int], n: int) -> Iterator[tuple[int, int]]:
                 yield a, b
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def condition_masks(n: int) -> tuple[Condition, ...]:
     """Every condition instance for C_n's prism, in report order.
 
@@ -222,6 +223,11 @@ def condition_masks(n: int) -> tuple[Condition, ...]:
     apart get their own tighter family.  The offset n - 2 instances stay in
     BAR_SEP although each one is implied by the tighter instance of the
     same pair, whose mask it contains.
+
+    The listing serves the benchmark and the tests, as the reference for
+    check_conditions and sweep.condition_satisfied, which both decide on
+    whole rows with _missed.  The cache keeps a few n only, as each
+    holds n^2 + 4n Condition tuples.
     """
     _require_scope(n)
     out: list[Condition] = []
@@ -251,7 +257,7 @@ def check_conditions(code: CodePair) -> ConditionReport:
     _require_scope(code.n)
     violations: list[Violation] = []
     for family, cycle_offsets, bar_offsets, step in _WINDOWS:
-        missed = list(bits(_missed(code, cycle_offsets, bar_offsets)))
+        missed = list(bits(_missed(code.n, code.x, code.xbar, cycle_offsets, bar_offsets)))
         if family == BAR_SEP:
             violations += [Violation(family, pair) for pair in _bar_sep_pairs(missed, code.n)]
         else:
@@ -283,7 +289,7 @@ def verify_code(code: CodePair) -> bool:
     radius-1 ball table the cached prism keeps.
     """
     _require_scope(code.n)
-    return verification_report(ball_table(_prism(code.n), 1).balls, code.vertex_mask).valid
+    return verification_report(ball_table(_prism(code.n), 1), code.vertex_mask).valid
 
 
 def pattern_code(n: int) -> CodePair:

@@ -30,8 +30,7 @@ class GraphFormatError(ValueError):
 class Graph:
     """Immutable undirected simple graph with int-bitset adjacency rows.
 
-    ball_table caches each radius's balls tuple in _balls.  It holds the
-    tuple, not the BallTable, which refers back to the graph.
+    ball_table caches each radius's balls tuple in _balls.
     """
 
     __slots__ = ("order", "adj", "_edge_count", "_balls")
@@ -197,37 +196,26 @@ class PrismIndexing:
         raise ValueError(f"vertex {v} outside prism of order {2 * self.n}")
 
 
-class BallTable:
-    """Closed distance-d balls of every vertex, as bitsets."""
+def ball_table(g: Graph, d: int) -> tuple[int, ...]:
+    """Closed distance-d balls of every vertex, as bitsets; requires d >= 1.
 
-    __slots__ = ("graph", "d", "balls")
-
-    def __init__(self, graph: Graph, d: int, balls: tuple[int, ...]):
-        self.graph = graph
-        self.d = d
-        self.balls = balls
-
-    def ball(self, u: int) -> tuple[int, ...]:
-        return tuple(bits(self.balls[u]))
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.balls)
-
-
-def ball_table(g: Graph, d: int) -> BallTable:
-    """Balls via d rounds of neighborhood expansion; requires d >= 1.
-
+    Each round of neighborhood expansion grows every ball by one step.
+    A round that changes no ball changes none later either, so the
+    expansion stops there, after at most g.order rounds whatever d is.
     The balls are computed once per graph and radius and kept on the graph.
     """
     if d < 1:
         raise ValueError("radius must be at least 1")
     balls = g._balls.get(d)
     if balls is None:
-        rows = [g.closed_row(u) for u in range(g.order)]
+        balls = tuple(g.closed_row(u) for u in range(g.order))
         for _ in range(d - 1):
-            rows = [_expand(g, ball) for ball in rows]
-        balls = g._balls[d] = tuple(rows)
-    return BallTable(g, d, balls)
+            grown = tuple(_expand(g, ball) for ball in balls)
+            if grown == balls:
+                break
+            balls = grown
+        g._balls[d] = balls
+    return balls
 
 
 def _expand(g: Graph, ball: int) -> int:
@@ -243,10 +231,9 @@ def closed_twins(g: Graph, d: int) -> tuple[tuple[int, int], ...]:
     Such a pair defeats every candidate code, so a nonempty result is an
     infeasibility certificate.
     """
-    table = ball_table(g, d)
     groups: dict[int, list[int]] = {}
-    for u in range(g.order):
-        groups.setdefault(table.balls[u], []).append(u)
+    for u, ball in enumerate(ball_table(g, d)):
+        groups.setdefault(ball, []).append(u)
     pairs = [
         (u, v)
         for members in groups.values()

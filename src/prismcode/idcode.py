@@ -11,8 +11,9 @@ difference of their balls, for separation).  A pair whose balls coincide
 yields an empty constraint, i.e. a certificate that no code exists.
 
 `hits_all` is the one vectorized form of "this vertex mask meets every
-constraint", applied to many uint64 masks at once; the sweeps and the
-exhaustive solver both use it.
+constraint", applied to many uint64 masks at once; the definitional
+sweep and the exhaustive solver both use it.  The condition system has
+its own whole-row kernel in cycleprism instead.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .graphs import BallTable, Graph, PrismIndexing, ball_table, mask_of
+from .graphs import Graph, PrismIndexing, ball_table, mask_of
 
 # Constraints per transpose in greedy_code: a chunk's 0/1 matrix takes
 # _CHUNK bytes per vertex of the universe.
@@ -64,22 +65,14 @@ def vertex_label(v: int, indexing: Optional[PrismIndexing] = None) -> Union[str,
     return indexing.label(v) if indexing is not None else v + 1
 
 
-def is_identifying_code(
-    g: Graph,
-    d: int,
-    code: Iterable[int],
-    table: Optional[BallTable] = None,
-) -> VerificationReport:
+def is_identifying_code(g: Graph, d: int, code: Iterable[int]) -> VerificationReport:
     """Check C against the definition and report the first failure.
 
     An empty ball intersection at the smallest vertex wins over an
     unseparated pair; among unseparated pairs the lexicographically first
-    one is reported.  A BallTable for (g, d) may be passed; without one,
-    ball_table's per-graph cache serves repeated checks.
+    one is reported.  ball_table's per-graph cache serves repeated checks.
     """
-    if table is None:
-        table = ball_table(g, d)
-    return verification_report(table.balls, mask_of(code))
+    return verification_report(ball_table(g, d), mask_of(code))
 
 
 def verification_report(balls: Sequence[int], code_mask: int) -> VerificationReport:
@@ -163,18 +156,17 @@ def hits_all(masks: np.ndarray, constraints: Iterable[int]) -> np.ndarray:
 
 def hitting_instance(g: Graph, d: int) -> HittingInstance:
     """Build the domination + separation constraint system for (g, d)."""
-    table = ball_table(g, d)
+    balls = ball_table(g, d)
     constraints: list[int] = []
     seen: set[int] = set()
     infeasible: list[tuple[int, int]] = []
-    for u in range(g.order):
-        ball = table.balls[u]
+    for ball in balls:
         if ball not in seen:
             seen.add(ball)
             constraints.append(ball)
     for u in range(g.order):
         for v in range(u + 1, g.order):
-            diff = table.balls[u] ^ table.balls[v]
+            diff = balls[u] ^ balls[v]
             if not diff:
                 infeasible.append((u, v))
             elif diff not in seen:

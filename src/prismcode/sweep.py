@@ -1,12 +1,13 @@
 """Vectorized sweeps over code pairs for the prism of C_n.
 
 Codes are packed into uint64 scalars using the prism vertex indexing
-(cycle bit a, bar bit n+a), so both the condition system and the
-definitional ball requirements become "mask & code != 0" tests that numpy
-applies to millions of codes at once.  The definitional side is the
-prism's hitting-set instance, built from its actual distance balls and
-independent of the condition masks, which is what makes the equivalence
-sweeps meaningful.
+(cycle bit a, bar bit n+a), so numpy checks millions of codes at once.
+The condition side runs cycleprism's whole-row kernel on the packed
+rows, one family window at a time, as check_conditions does for one
+pair.  The definitional side is the prism's hitting-set instance, built
+from its actual distance balls and tested by "mask & code != 0", which
+keeps it independent of the condition windows and so makes the
+equivalence sweeps meaningful.
 
 Scope: 2n must fit a uint64 payload, n <= 31; the sweeps are meant for
 desk-scale n anyway.
@@ -19,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cycleprism import condition_masks, _prism
+from .cycleprism import BAR_SEP, _WINDOWS, _missed, _prism, _require_scope
 from .idcode import hits_all, hitting_instance
 
 
@@ -43,9 +44,21 @@ def random_codes(n: int, count: int, seed: int) -> np.ndarray:
 
 
 def condition_satisfied(n: int, codes: np.ndarray) -> np.ndarray:
-    """True where the code meets every condition instance."""
+    """True where the code meets every condition instance.
+
+    A family's instances hold where its missed row is 0, except BAR_SEP,
+    which holds where at most one position is blind: every ordered pair
+    of distinct blind positions is an instance, those two steps apart
+    at offset n - 2.
+    """
     _check_n(n)
-    return hits_all(codes, [c.mask for c in condition_masks(n)])
+    _require_scope(n)
+    x, xbar = codes & (1 << n) - 1, codes >> n
+    ok = np.ones(codes.shape, dtype=bool)
+    for family, cycle_offsets, bar_offsets, _ in _WINDOWS:
+        missed = _missed(n, x, xbar, cycle_offsets, bar_offsets)
+        ok &= np.bitwise_count(missed) <= 1 if family == BAR_SEP else missed == 0
+    return ok
 
 
 @lru_cache(maxsize=32)

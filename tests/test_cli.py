@@ -211,6 +211,17 @@ def test_twins_exit_codes(capsys, tmp_path):
     assert code == 0 and "count 0" in out
 
 
+def test_twins_at_huge_radius(capsys, tmp_path):
+    c12 = tmp_path / "c12.txt"
+    main(["gen", "cycle", "12", "-o", str(c12)])
+    capsys.readouterr()
+    want = run(capsys, "twins", str(c12), "-d", "6")
+    assert want[0] == 2 and "count 66" in want[1]
+    start = time.perf_counter()
+    assert run(capsys, "twins", str(c12), "-d", str(10**9)) == want
+    assert time.perf_counter() - start < 1.0
+
+
 def test_order_limit_refused_before_allocating(capsys, tmp_path):
     huge = tmp_path / "huge.txt"
     huge.write_text("p 100000000 0\n")

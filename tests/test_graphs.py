@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from prismcode.graphs import (
     GraphFormatError,
     PrismIndexing,
     ball_table,
+    bits,
     closed_twins,
     complement,
     complementary_prism,
@@ -139,13 +141,21 @@ def test_prism_restrictions_are_exact():
 
 
 def test_ball_cycle5():
-    assert ball_table(cycle(5), 1).ball(0) == (0, 1, 4)
+    assert tuple(bits(ball_table(cycle(5), 1)[0])) == (0, 1, 4)
 
 
 def test_ball_prism_c6_d2_saturates():
     p = complementary_prism(cycle(6))
-    table = ball_table(p, 2)
-    assert table.ball(6) == tuple(range(12))  # vbar1 reaches everything in two steps
+    assert ball_table(p, 2)[6] == (1 << 12) - 1  # vbar1 reaches everything in two steps
+
+
+def test_ball_table_stops_once_balls_settle():
+    # C_12 has diameter 6; 10**9 rounds would not finish, the settled balls do at once
+    g = cycle(12)
+    start = time.perf_counter()
+    assert ball_table(g, 10**9) == ball_table(g, 6) == ((1 << 12) - 1,) * 12
+    assert time.perf_counter() - start < 1.0
+    assert ball_table(g, 5) != ball_table(g, 6)
 
 
 def test_ball_domain():
@@ -158,19 +168,19 @@ def test_balls_equal_bfs(d):
     graphs = [cycle(5), complementary_prism(cycle(4))] + random_graphs(seed=d, count=6)
     for g in graphs:
         adj = bf.to_adj(g)
-        table = ball_table(g, d)
+        balls = ball_table(g, d)
         for u in range(g.order):
-            assert set(table.ball(u)) == bf.bfs_ball(adj, u, d)
+            assert set(bits(balls[u])) == bf.bfs_ball(adj, u, d)
 
 
 def test_ball_table_cached_per_graph():
     for g in [cycle(9)] + random_graphs(seed=21, count=5):
         h = hash(g)
-        assert ball_table(g, 1).balls is ball_table(g, 1).balls
+        assert ball_table(g, 1) is ball_table(g, 1)
         adj = bf.to_adj(g)
         for d in (3, 1, 2):
-            table = ball_table(g, d)
-            assert [set(table.ball(u)) for u in range(g.order)] == [bf.bfs_ball(adj, u, d) for u in range(g.order)]
+            balls = ball_table(g, d)
+            assert [set(bits(ball)) for ball in balls] == [bf.bfs_ball(adj, u, d) for u in range(g.order)]
         fresh = Graph(g.order, g.adj)
         assert fresh == g and hash(fresh) == hash(g) == h
         with pytest.raises(AttributeError):
@@ -180,7 +190,7 @@ def test_ball_table_cached_per_graph():
 
 def test_ball_monotone_in_d():
     g = complementary_prism(cycle(5))
-    b1, b2, b3 = (ball_table(g, d).balls for d in (1, 2, 3))
+    b1, b2, b3 = (ball_table(g, d) for d in (1, 2, 3))
     for u in range(g.order):
         assert b1[u] & ~b2[u] == 0 and b2[u] & ~b3[u] == 0
 

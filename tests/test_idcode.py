@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from prismcode.graphs import (
     Graph,
     PrismIndexing,
-    ball_table,
     closed_twins,
     complementary_prism,
     cycle,
@@ -196,12 +195,11 @@ def test_hits_all_blocks_that_never_empty():
 def test_supersets_of_codes_are_codes():
     rng = random.Random(12)
     g = complementary_prism(cycle(5))
-    table = ball_table(g, 1)
     base = greedy_code(hitting_instance(g, 1))
-    assert is_identifying_code(g, 1, base, table).valid
+    assert is_identifying_code(g, 1, base).valid
     for _ in range(30):
         extra = set(base) | {rng.randrange(g.order) for _ in range(3)}
-        assert is_identifying_code(g, 1, extra, table).valid
+        assert is_identifying_code(g, 1, extra).valid
 
 
 def test_greedy_code_valid_and_infeasibility():

@@ -5,9 +5,9 @@ import random
 import numpy as np
 import pytest
 
-from prismcode.cycleprism import CodePair, check_conditions
-from prismcode.graphs import complementary_prism, cycle
-from prismcode.idcode import is_identifying_code
+from prismcode.cycleprism import CodePair, check_conditions, condition_masks
+from prismcode.graphs import complementary_prism, cycle, mask_of
+from prismcode.idcode import hits_all, is_identifying_code
 from prismcode.sweep import (
     all_codes,
     bar_counts,
@@ -54,6 +54,43 @@ def test_vector_matches_scalar(n):
         assert bool(v_ok) == is_identifying_code(g, 1, pair.vertices()).valid
 
 
+def mask_route(n, codes):
+    """condition_satisfied's reference: one "mask & code != 0" test per condition_masks instance."""
+    return hits_all(codes, [c.mask for c in condition_masks(n)])
+
+
+def blind_codes(n):
+    """Packed codes whose blind positions are exactly none, one, or two at every gap 1..n-1.
+
+    For a blind set B: every cycle vertex outside B and every bar vertex
+    not next to a member of B.  Such codes meet most other windows, so
+    the BAR_SEP rule decides many of them.
+    """
+    full = (1 << n) - 1
+    sets = [()] + [(a,) for a in range(n)] + [(a, (a + gap) % n) for gap in range(1, n) for a in range(n)]
+    codes = []
+    for blind in sets:
+        pair = CodePair(n, full & ~mask_of(blind), full & ~mask_of((a + s) % n for a in blind for s in (-1, 1)))
+        assert pair.blind_bar() == frozenset(blind)
+        codes.append(pair.vertex_mask)
+    return np.array(codes, dtype=np.uint64)
+
+
+def test_condition_satisfied_matches_mask_route_exhaustive_n9():
+    codes = all_codes(9)
+    assert np.array_equal(condition_satisfied(9, codes), mask_route(9, codes))
+
+
+@pytest.mark.parametrize("n", range(9, 32))
+def test_condition_satisfied_matches_mask_route(n):
+    blind = blind_codes(n)
+    codes = np.concatenate([blind, random_codes(n, 2000, seed=n)])
+    got = condition_satisfied(n, codes)
+    assert np.array_equal(got, mask_route(n, codes))
+    # at most one blind position is allowed, yet two at most gaps break only BAR_SEP
+    assert got[:n + 1].all() and not got[n + 1:len(blind)].any()
+
+
 def test_definition_matches_scalar_exhaustive_n5():
     codes = all_codes(5)
     valid = definition_satisfied(5, codes)
@@ -96,6 +133,9 @@ def test_scope_errors():
         definition_satisfied(2, all_codes(9))
     for n in (32, 40):
         with pytest.raises(ValueError, match=r"^vectorized sweeps support 3 <= n <= 31$"):
+            condition_satisfied(n, np.zeros(4, dtype=np.uint64))
+    for n in range(5, 9):
+        with pytest.raises(ValueError, match=r"^the condition system is stated for n >= 9$"):
             condition_satisfied(n, np.zeros(4, dtype=np.uint64))
 
 

@@ -38,9 +38,11 @@ out.  Once the cycle row is fixed, exactly one start state remains for
 the bar row, and every settled prefix fixes the walk's state, blind
 count and cost, so the bar row is a scalar walk that reads the
 backward tables.  Where that pair passes `verify_code` (every n from 9
-to 200 except 9, 10 and 12), it is the lex-min optimal code, and
-`solver.solve_min_idcode` returns it with nodes = 0; elsewhere the
-solver falls back to branch and bound from the floor.
+to 200 except 9, 10 and 12), it is the lex-min optimal code.  The
+package answers from closed forms, `cycleprism.condition_floor` and
+`cycleprism.lexmin_pair`, which this DP is the reference for; the
+solver returns the closed-form pair with nodes = 0 where it identifies
+and elsewhere runs branch and bound from the floor.
 
 The window tables are derived from `condition_masks` and
 `CodePair.blind_bar` at a reference n, never retyped, and only
