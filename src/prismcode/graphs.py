@@ -30,7 +30,7 @@ class GraphFormatError(ValueError):
 class Graph:
     """Immutable undirected simple graph with int-bitset adjacency rows.
 
-    ball_table caches each radius's balls tuple in _balls.
+    ball_table caches each radius's (balls, settled) pair in _balls.
     """
 
     __slots__ = ("order", "adj", "_edge_count", "_balls")
@@ -200,22 +200,22 @@ def ball_table(g: Graph, d: int) -> tuple[int, ...]:
     """Closed distance-d balls of every vertex, as bitsets; requires d >= 1.
 
     Each round of neighborhood expansion grows every ball by one step.
-    A round that changes no ball changes none later either, so the
-    expansion stops there, after at most g.order rounds whatever d is.
-    The balls are computed once per graph and radius and kept on the graph.
+    A round that changes no ball changes none later either: the balls
+    have settled, after at most g.order rounds whatever d is.  The balls
+    are kept on the graph per radius, settled ones also at the radius
+    where they settled; a new radius resumes from the largest one kept
+    below it, with no round at all from settled balls.
     """
     if d < 1:
         raise ValueError("radius must be at least 1")
-    balls = g._balls.get(d)
-    if balls is None:
-        balls = tuple(g.closed_row(u) for u in range(g.order))
-        for _ in range(d - 1):
+    if d not in g._balls:
+        r = max((k for k in g._balls if k < d), default=1)
+        balls, settled = g._balls.get(r) or (tuple(g.closed_row(u) for u in range(g.order)), False)
+        while r < d and not settled:
             grown = tuple(_expand(g, ball) for ball in balls)
-            if grown == balls:
-                break
-            balls = grown
-        g._balls[d] = balls
-    return balls
+            balls, settled, r = grown, grown == balls, r + 1
+        g._balls[d] = g._balls[r] = balls, settled
+    return g._balls[d][0]
 
 
 def _expand(g: Graph, ball: int) -> int:

@@ -10,10 +10,10 @@ vertex (its ball, for domination) and one per vertex pair (the symmetric
 difference of their balls, for separation).  A pair whose balls coincide
 yields an empty constraint, i.e. a certificate that no code exists.
 
-`hits_all` is the one vectorized form of "this vertex mask meets every
-constraint", applied to many uint64 masks at once; the definitional
-sweep and the exhaustive solver both use it.  The condition system has
-its own whole-row kernel in cycleprism instead.
+`HitTables` is the one vectorized form of "this vertex mask meets every
+constraint", for many uint64 masks at once: a byte-table lookup tests 64
+constraints per numpy pass.  The definitional sweep and the exhaustive
+solver both use it; the condition system has its own kernel in cycleprism.
 """
 
 from __future__ import annotations
@@ -26,9 +26,11 @@ import numpy as np
 
 from .graphs import Graph, PrismIndexing, ball_table, mask_of
 
-# Constraints per transpose in greedy_code: a chunk's 0/1 matrix takes
-# _CHUNK bytes per vertex of the universe.
+# Constraints per transpose in _incidence, whole 64-bit words: a chunk's
+# 0/1 matrix takes _CHUNK bytes per vertex of the universe.
 _CHUNK = 1 << 13
+
+_PASS = 1 << 15  # masks per pass of HitTables.hits_all, so its byte indices stay in cache
 
 
 class InfeasibleInstanceError(ValueError):
@@ -123,35 +125,70 @@ class HittingInstance:
         return not self.infeasible_pairs
 
 
-def hits_all(masks: np.ndarray, constraints: Iterable[int]) -> np.ndarray:
-    """True where the uint64 mask meets every constraint bitmask.
+class HitTables:
+    """Constraints prepared for `hits_all`, once per system: byte tables.
 
-    Whether any mask survives is asked only after constraints 1, 2, 4,
-    8, ...: a block that empties stops within twice the constraints that
-    emptied it, and a block that never does pays log2 of their number.
-    At the same checkpoints, once fewer than half of the masks still
-    live, the survivors and their positions are gathered, so later
-    constraints touch only them.
+    Words hold 64 constraints each, in the given order.  Entry x of word
+    w's table for mask byte b is the bitset of its constraints hit by the
+    vertices 8b + j, j a bit of x, plus the bits past the last constraint.
+    A mask meets a word where the OR of its bytes' entries is all ones.
+    Mask bits above the widest constraint hit nothing and are ignored.
     """
-    live = masks.reshape(-1)
-    where = None  # positions of live in the flattened masks; None while nothing was dropped
-    ok = np.ones(live.shape, dtype=bool)
-    for i, c in enumerate(constraints, 1):
-        ok &= (live & np.uint64(c)) != 0
-        if not i & (i - 1):
-            alive = np.count_nonzero(ok)
-            if not alive:
-                break
-            if 2 * alive < len(live):
-                keep = np.flatnonzero(ok)
-                live = live[keep]
-                where = keep if where is None else where[keep]
-                ok = np.ones(alive, dtype=bool)
-    if where is None:
-        return ok.reshape(masks.shape)
-    out = np.zeros(masks.size, dtype=bool)
-    out[where] = ok
-    return out.reshape(masks.shape)
+
+    def __init__(self, constraints: Iterable[int]):
+        constraints = tuple(constraints)
+        nbytes = max(1, (max(constraints, default=0).bit_length() + 7) // 8)
+        hits = _incidence(8 * nbytes, constraints).view("<u8")  # [vertex, word]
+        tables = np.zeros((hits.shape[1], nbytes, 256), dtype=np.uint64)
+        tables[-1:, 0] = -(2 << (len(constraints) - 1) % 64) % 2**64  # the bits past the last constraint
+        for j in range(8):  # entries 2^j..2^(j+1)-1 add vertex 8b + j to entries 0..2^j-1
+            tables[:, :, 1 << j:2 << j] = tables[:, :, :1 << j] | hits[j::8].T[:, :, None]
+        self._tables = tables
+
+    def hits_all(self, masks: np.ndarray) -> np.ndarray:
+        """True where the uint64 mask meets every constraint, word by word:
+        a pass gathers its survivors once fewer than half live, stops once none does."""
+        data = np.ascontiguousarray(masks, dtype="<u8").view(np.uint8).reshape(-1, 8)  # [mask, byte]
+        out = np.zeros(len(data), dtype=bool)
+        for start in range(0, len(data), _PASS):
+            # byte b of live mask i at [b, i], an index into byte b's tables; where[i] its position
+            index = data[start:start + _PASS, :self._tables.shape[1]].T.astype(np.intp, order="C")
+            where = np.arange(start, start + index.shape[1])
+            ok = np.ones(len(where), dtype=bool)
+            for table in self._tables:
+                hit = table[0][index[0]]
+                for row, byte in zip(table[1:], index[1:]):
+                    hit |= row[byte]
+                ok &= hit == ~np.uint64(0)
+                alive = np.count_nonzero(ok)
+                if not alive:
+                    break
+                if 2 * alive < len(ok):
+                    index, where, ok = index[:, ok], where[ok], ok[ok]
+            out[where] = ok
+        return out.reshape(masks.shape)
+
+
+def hits_all(masks: np.ndarray, constraints: Iterable[int]) -> np.ndarray:
+    """True where the uint64 mask meets every constraint bitmask; see `HitTables`."""
+    return HitTables(constraints).hits_all(masks)
+
+
+def _incidence(universe: int, constraints: Sequence[int]) -> np.ndarray:
+    """Row v: the uint8 little-endian bitset of the constraints holding v, in whole words.
+
+    One transpose, as `Graph` checks symmetry: the constraints, unpacked
+    into a constraints x universe 0/1 matrix, are transposed and packed.
+    """
+    size = (universe + 7) // 8
+    rows = np.zeros((universe, (len(constraints) + 63) // 64 * 8), dtype=np.uint8)
+    for start in range(0, len(constraints), _CHUNK):
+        part = constraints[start:start + _CHUNK]
+        packed = np.frombuffer(b"".join([c.to_bytes(size, "little") for c in part]), np.uint8)
+        matrix = np.unpackbits(packed.reshape(len(part), size), axis=1, count=universe, bitorder="little")
+        columns = np.packbits(matrix.T, axis=1, bitorder="little")
+        rows[:, start // 8:start // 8 + columns.shape[1]] = columns
+    return rows
 
 
 def hitting_instance(g: Graph, d: int) -> HittingInstance:
@@ -183,26 +220,14 @@ def greedy_code(inst: HittingInstance) -> tuple[int, ...]:
     bounds the optimum for solver warm starts.
 
     Cost: each vertex gets the bitset of the constraint indices it hits
-    by one transpose of the constraint bit matrix, as `Graph` checks
-    symmetry: the constraints, packed little-endian and unpacked into a
-    constraints x universe 0/1 matrix, are transposed and packed again,
-    one row per vertex.  That runs in numpy, _CHUNK constraints at a time
-    so the matrix stays small.  Each round then costs one `bit_count`
-    per vertex, against the bitset of unhit constraints, instead of a
-    recount of the members of every unhit constraint.
+    from `_incidence`, so each round costs one `bit_count` per vertex,
+    against the bitset of unhit constraints, instead of a recount of the
+    members of every unhit constraint.
     """
     if inst.infeasible_pairs:
         raise InfeasibleInstanceError(inst.infeasible_pairs[0])
-    universe, constraints = inst.universe, inst.constraints
-    size = (universe + 7) // 8
-    hits = [0] * universe
-    for start in range(0, len(constraints), _CHUNK):
-        part = constraints[start:start + _CHUNK]
-        packed = np.frombuffer(b"".join([c.to_bytes(size, "little") for c in part]), np.uint8)
-        matrix = np.unpackbits(packed.reshape(len(part), size), axis=1, count=universe, bitorder="little")
-        columns = np.packbits(matrix.T, axis=1, bitorder="little")
-        for v in range(universe):
-            hits[v] |= int.from_bytes(columns[v].tobytes(), "little") << start
+    constraints = inst.constraints
+    hits = [int.from_bytes(row.tobytes(), "little") for row in _incidence(inst.universe, constraints)]
     unhit = (1 << len(constraints)) - 1
     chosen: list[int] = []
     while unhit:

@@ -13,11 +13,11 @@ that fits is a fixed prefix OR'd onto a cached table of every k-subset
 of a range (see `_lex_subsets`).  Masks take the strategy to graphs of
 order at most 63.
 
-Cost: `idcode.hits_all` tests a whole block at once, one numpy pass per
-constraint until the block empties, over fewer masks once it has
-gathered the survivors.  Those mask tests are nearly all of the time:
-the prism of C_12 (order 24, 2.58M subsets tested) takes about 0.15 s
-on a 2-core Xeon host.
+Cost: one `idcode.HitTables` per solve tests a whole block at once, 64
+constraints, narrowest first, per pass of byte-table lookups, until the
+block empties.  Those mask tests are nearly all of the time: the prism
+of C_12 (order 24, 2.58M subsets tested) takes about 0.06 s and that of
+C_15 (order 30, 108M subsets) about 2.5 s on a 2-core Xeon host.
 
 The branch-and-bound strategy runs one search, `_search`, that orders
 hitting sets by size and breaks ties lexicographically, so it returns
@@ -59,7 +59,7 @@ from .cycleprism import (
     _prism, condition_floor, lexmin_pair, lower_bound, pattern_code, prism_cycle_length, upper_bound, verify_code,
 )
 from .graphs import Graph, PrismIndexing, bits, mask_of
-from .idcode import HittingInstance, greedy_code, hitting_instance, hits_all, vertex_label
+from .idcode import HitTables, HittingInstance, greedy_code, hitting_instance, vertex_label
 
 STRATEGIES = ("exhaustive", "bnb")
 
@@ -150,12 +150,12 @@ def _exhaustive(inst: HittingInstance, cap: Optional[int]):
     universe = inst.universe
     if universe > 63:
         raise ValueError("the exhaustive strategy takes graphs of order at most 63; use bnb")
-    constraints = sorted(inst.constraints, key=lambda c: c.bit_count())
+    tables = HitTables(sorted(inst.constraints, key=int.bit_count))
     top = universe if cap is None else min(cap, universe)
     nodes = 0
     for k in range(top + 1):
         for masks in _lex_blocks(universe, k, 0, 0, _BLOCK):
-            hit = np.flatnonzero(hits_all(masks, constraints))
+            hit = np.flatnonzero(tables.hits_all(masks))
             if len(hit):
                 return k, tuple(bits(int(masks[hit[0]]))), nodes + int(hit[0]) + 1
             nodes += len(masks)

@@ -5,7 +5,7 @@ Codes are packed into uint64 scalars using the prism vertex indexing
 The condition side runs cycleprism's whole-row kernel on the packed
 rows, one family window at a time, as check_conditions does for one
 pair.  The definitional side is the prism's hitting-set instance, built
-from its actual distance balls and tested by "mask & code != 0", which
+from its actual distance balls and tested through `idcode.HitTables`, which
 keeps it independent of the condition windows and so makes the
 equivalence sweeps meaningful.
 
@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cycleprism import BAR_SEP, _WINDOWS, _missed, _prism, _require_scope
-from .idcode import hits_all, hitting_instance
+from .idcode import HitTables, hitting_instance
 
 
 def _check_n(n: int) -> None:
@@ -62,17 +62,17 @@ def condition_satisfied(n: int, codes: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _definitional_masks(n: int) -> tuple[int, ...]:
+def _definitional_tables(n: int) -> HitTables:
     inst = hitting_instance(_prism(n), 1)
     if not inst.feasible:
         raise ValueError(f"prism of C_{n} has radius-1 twins, no code exists")
-    return inst.constraints
+    return HitTables(inst.constraints)
 
 
 def definition_satisfied(n: int, codes: np.ndarray) -> np.ndarray:
     """True where the code is an identifying code by the ball definition."""
     _check_n(n)
-    return hits_all(codes, _definitional_masks(n))
+    return _definitional_tables(n).hits_all(codes)
 
 
 def bar_counts(n: int, codes: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ from prismcode.graphs import (
 )
 
 import bruteforce as bf
+from prismcode import graphs
 
 
 def random_graphs(seed=4, count=12, max_order=9):
@@ -156,6 +157,26 @@ def test_ball_table_stops_once_balls_settle():
     assert ball_table(g, 10**9) == ball_table(g, 6) == ((1 << 12) - 1,) * 12
     assert time.perf_counter() - start < 1.0
     assert ball_table(g, 5) != ball_table(g, 6)
+
+
+def test_ball_table_resumes_from_the_largest_cached_radius(monkeypatch):
+    # C_12 has diameter 6: radius 7 is the first round that changes no ball.
+    g = cycle(12)
+    adj = bf.to_adj(g)
+    expanded = []
+    expand = graphs._expand
+    monkeypatch.setattr(graphs, "_expand", lambda g, ball: expanded.append(ball) or expand(g, ball))
+
+    def rounds(d):
+        expanded.clear()
+        balls = ball_table(g, d)
+        assert [set(bits(ball)) for ball in balls] == [bf.bfs_ball(adj, u, d) for u in range(g.order)]
+        assert len(expanded) % g.order == 0
+        return len(expanded) // g.order
+
+    assert [rounds(d) for d in (3, 4, 2, 3)] == [2, 1, 1, 0]
+    assert rounds(8) == 3  # radii 5 and 6 grow, 7 settles
+    assert rounds(10**9) == rounds(7) == 0
 
 
 def test_ball_domain():

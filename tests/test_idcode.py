@@ -18,6 +18,7 @@ from prismcode.graphs import (
     random_graph,
 )
 from prismcode.idcode import (
+    HitTables,
     HittingInstance,
     InfeasibleInstanceError,
     greedy_code,
@@ -166,17 +167,73 @@ def test_hits_all_empty_constraint_list():
     assert hits_all(np.zeros(0, dtype=np.uint64), [1, 2]).tolist() == []
 
 
-@pytest.mark.parametrize("last", [3, 5, 9])
-def test_hits_all_stops_at_next_checkpoint(last):
-    # Mask t holds bits 0..t and constraint i is bit i - 1, so mask t dies
-    # at constraint t + 2 and the last survivor at constraint `last`, between
-    # the checkpoints 1, 2, 4, 8, 16 where the block is found empty.
-    masks = np.array([(1 << t + 1) - 1 for t in range(last - 1)], dtype=np.uint64)
-    constraints = [1 << i for i in range(20)]
-    rest = iter(constraints)
-    assert hits_all(masks, rest).tolist() == _scalar_hits_all(masks, constraints) == [False] * (last - 1)
-    checkpoint = 1 << (last - 1).bit_length()
-    assert len(list(rest)) == len(constraints) - checkpoint
+def test_hits_all_dead_block_skips_later_words():
+    # Constraint 0 is bit 0, which no mask of the dead block holds, so the
+    # block is decided by word 0 and words 1 and 2 are never read.
+    constraints = [1 << i % 20 for i in range(129)]
+    tables = HitTables(constraints)
+    touched = []
+
+    class Watched(np.ndarray):
+        def __iter__(self):
+            for w, table in enumerate(np.asarray(self)):
+                touched.append(w)
+                yield table
+
+    tables._tables = tables._tables.view(Watched)
+    dead = np.arange(2, 2 ** 14, 2, dtype=np.uint64)
+    assert tables.hits_all(dead).tolist() == _scalar_hits_all(dead, constraints) == [False] * len(dead)
+    assert touched == [0]
+    live = np.array([2 ** 20 - 1, 2 ** 19 - 1], dtype=np.uint64)
+    touched.clear()
+    assert tables.hits_all(live).tolist() == _scalar_hits_all(live, constraints) == [True, False]
+    assert touched == [0, 1, 2]
+
+
+@pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 128, 129, 1023])
+def test_hits_all_word_boundaries(count):
+    # Sparse constraints keep some masks alive through every word, so each
+    # word's padding bits and the gathering of survivors are exercised.
+    rng = np.random.default_rng(count)
+    constraints = [mask_of(rng.choice(48, size=rng.integers(4, 9), replace=False).tolist()) for _ in range(count)]
+    masks = rng.integers(0, 2 ** 48, size=3000, dtype=np.uint64) | rng.integers(0, 2 ** 48, size=3000, dtype=np.uint64)
+    masks[:5] = [0, 2 ** 48 - 1, 2 ** 64 - 1, 1, 2 ** 47]
+    want = _scalar_hits_all(masks, constraints)
+    assert hits_all(masks, constraints).tolist() == want
+    assert 0 < sum(want) < len(want) or count == 0
+
+
+@pytest.mark.parametrize("width", range(1, 65))
+def test_hits_all_every_width(width):
+    # Bits of a mask above the widest constraint hit nothing and are ignored.
+    rng = np.random.default_rng(width)
+    top = 1 << width - 1
+    constraints = [top] + [int(c) | top for c in rng.integers(0, top, size=70, dtype=np.uint64)]
+    constraints += [mask_of(rng.choice(width, size=min(width, 2), replace=False).tolist()) for _ in range(10)]
+    masks = rng.integers(0, 2 ** 64, size=500, dtype=np.uint64)
+    masks[:250] &= np.uint64(2 ** width - 1)
+    masks[:2] = [2 ** 64 - 2 ** width, 2 ** 64 - 1]
+    want = _scalar_hits_all(masks, constraints)
+    assert hits_all(masks, constraints).tolist() == want
+    assert want[:2] == [False, True]
+
+
+def test_hits_all_mask_array_shapes():
+    rng = np.random.default_rng(5)
+    constraints = [mask_of(rng.choice(30, size=3, replace=False).tolist()) for _ in range(90)]
+    grid = rng.integers(0, 2 ** 30, size=(40, 60), dtype=np.uint64)
+    want = np.array(_scalar_hits_all(grid.reshape(-1), constraints)).reshape(grid.shape)
+    assert 0 < want.sum() < want.size
+    got = hits_all(grid, constraints)
+    assert got.shape == grid.shape and np.array_equal(got, want)
+    strided = grid[::3, 1::2]
+    assert not strided.flags.c_contiguous and np.array_equal(hits_all(strided, constraints), want[::3, 1::2])
+    frozen = grid.copy()
+    frozen.flags.writeable = False
+    assert np.array_equal(hits_all(frozen, constraints), want)
+    assert np.array_equal(hits_all(grid.T, constraints), want.T)
+    for empty in (np.zeros(0, dtype=np.uint64), np.zeros((0, 4), dtype=np.uint64)):
+        assert hits_all(empty, constraints).shape == empty.shape
 
 
 def test_hits_all_blocks_that_never_empty():

@@ -83,6 +83,14 @@ def test_prism_optima_frozen(n):
     assert is_identifying_code(g, 1, res.code).valid
 
 
+def test_exhaustive_nodes_frozen():
+    # subsets tested before the lex-min optimum, in (size, lex) order
+    want = {9: (7, 32042), 10: (8, 139077), 11: (8, 330897), 12: (10, 2580817)}
+    for n, (size, nodes) in want.items():
+        res = solve_min_idcode(complementary_prism(cycle(n)), 1, EXH)
+        assert (res.status, res.size, res.nodes) == (OPTIMAL, size, nodes), n
+
+
 def test_strategies_agree_on_corpus():
     rng = random.Random(6)
     corpus = [cycle(n) for n in range(3, 9)]

@@ -116,6 +116,12 @@ def test_equivalence_sweep_counts_frozen_n9():
     assert int(bar_counts(9, strays).max()) <= 3
 
 
+def test_equivalence_sweep_counts_frozen_n10():
+    res = equivalence_sweep(10, all_codes(10))
+    assert (res.total, res.valid, res.condition_clean) == (1 << 20, 304314, 304814)
+    assert (len(res.necessity_failures), len(res.sufficiency_failures)) == (0, 0)
+
+
 def test_enumerate_valid_codes_sample():
     rng = random.Random(0)
     valid = enumerate_valid_codes(9)
