@@ -190,6 +190,28 @@ def test_hits_all_dead_block_skips_later_words():
     assert touched == [0, 1, 2]
 
 
+@pytest.mark.parametrize("last", [3, 5, 9])
+def test_hits_all_stops_at_next_checkpoint(last):
+    # Word w holds 64 copies of the constraint bit w, and mask t holds bits
+    # 0..t, so mask t dies in word t + 1 and the last survivor in word
+    # last - 1: the block is found empty at the end of that word, the next
+    # checkpoint, and the words after it are never read.
+    constraints = [1 << w for w in range(20) for _ in range(64)]
+    tables = HitTables(constraints)
+    touched = []
+
+    class Watched(np.ndarray):
+        def __iter__(self):
+            for w, table in enumerate(np.asarray(self)):
+                touched.append(w)
+                yield table
+
+    tables._tables = tables._tables.view(Watched)
+    masks = np.array([(1 << t + 1) - 1 for t in range(last - 1)], dtype=np.uint64)
+    assert tables.hits_all(masks).tolist() == _scalar_hits_all(masks, constraints) == [False] * (last - 1)
+    assert touched == list(range(last))
+
+
 @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 128, 129, 1023])
 def test_hits_all_word_boundaries(count):
     # Sparse constraints keep some masks alive through every word, so each
