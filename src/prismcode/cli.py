@@ -358,10 +358,7 @@ def main(argv=None) -> int:
     args = _main_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # GraphFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -30,7 +30,7 @@ from .graphs import Graph, PrismIndexing, ball_table, mask_of
 # 0/1 matrix takes _CHUNK bytes per vertex of the universe.
 _CHUNK = 1 << 13
 
-_PASS = 1 << 15  # masks per pass of HitTables.hits_all, so its byte indices stay in cache
+_PASS = 1 << 15  # masks per pass of HitTables.hits_all and sweep.condition_satisfied, so their temporaries stay in cache
 
 
 class InfeasibleInstanceError(ValueError):
@@ -167,11 +167,6 @@ class HitTables:
                     index, where, ok = index[:, ok], where[ok], ok[ok]
             out[where] = ok
         return out.reshape(masks.shape)
-
-
-def hits_all(masks: np.ndarray, constraints: Iterable[int]) -> np.ndarray:
-    """True where the uint64 mask meets every constraint bitmask; see `HitTables`."""
-    return HitTables(constraints).hits_all(masks)
 
 
 def _incidence(universe: int, constraints: Sequence[int]) -> np.ndarray:

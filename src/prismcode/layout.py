@@ -16,15 +16,14 @@ builders, balanced_layout_tree and random_layout_tree, still recurse, but
 only as deep as the trees they build: about log2(order) for the balanced
 one and O(log order) expected for random splits.
 
-The point proved here computationally: lifting a layout tree to the
-complementary prism by replacing each leaf u with a cherry over u and its
-bar partner at most doubles the maximum class count.  check_doubling
-tests exactly that inequality for a concrete graph and tree.  It counts
-both trees in one pass over the base tree and builds neither the lifted
-tree nor the prism: each base node stands for its lifted copy, whose
-cover is the base cover together with the bar partners, and each leaf's
-lifted classes come straight from its adjacency row.  prism_layout and
-class_profile build and count the lifted tree explicitly; the tests
+The point proved here: lifting a layout tree to the complementary prism,
+by replacing each leaf u with a cherry over u and its bar partner, at
+most doubles the maximum class count, a proxy for the paper's
+clique-width bound.  The lifted classes follow from the base classes, so
+this doubling holds exactly for every graph and tree, and check_doubling
+derives the lifted counts from class_profile's walk instead of counting
+a second tree; its docstring gives the argument.  prism_layout and
+class_profile build and count the lifted tree explicitly, and the tests
 compare check_doubling against their composition with
 complementary_prism.
 """
@@ -184,20 +183,16 @@ class ClassCountProfile:
     max_leaves: tuple[int, ...]  # leaf set of the first node attaining the max
 
 
-def class_profile(g: Graph, t: LayoutTree) -> ClassCountProfile:
-    """Count neighborhood classes at every node of the tree.
+def _class_sets(g: Graph, t: LayoutTree) -> Iterator[tuple[LayoutTree, set[int]]]:
+    """Each node of t in postorder with its set of class signatures.
 
     One postorder pass merges class sets bottom up.  A leaf v has the one
     signature N[v] minus v; an internal node takes the union of its
     children's signatures with its own cover cleared, which is exact since
     each child's cover lies inside the parent's.  A node so costs its
-    children's class counts, not its cover size.  Only the tree's shape and
-    leaf labels matter.  Leaves always count 1; the root counts 1 as well
-    since nothing lies outside it.
+    children's class counts, not its cover size.
     """
     _check_cover(t, g.order)
-    counts = []
-    best, best_node = 0, t
     classes: list[set[int]] = []  # class sets of finished subtrees awaiting their parent
     for node in t.postorder():
         if node.vertex is not None:
@@ -208,9 +203,22 @@ def class_profile(g: Graph, t: LayoutTree) -> ClassCountProfile:
             merged = {sig & keep for sig in classes.pop()}
             merged.update([sig & keep for sig in right])
         classes.append(merged)
-        counts.append(len(merged))
-        if len(merged) > best:
-            best, best_node = len(merged), node
+        yield node, merged
+
+
+def class_profile(g: Graph, t: LayoutTree) -> ClassCountProfile:
+    """Count neighborhood classes at every node of the tree.
+
+    The counts are the sizes of _class_sets' sets.  Only the tree's shape
+    and leaf labels matter.  Leaves always count 1; the root counts 1 as
+    well since nothing lies outside it.
+    """
+    counts = []
+    best, best_node = 0, t
+    for node, classes in _class_sets(g, t):
+        counts.append(len(classes))
+        if len(classes) > best:
+            best, best_node = len(classes), node
     return ClassCountProfile(tuple(counts), best, best_node.leaves())
 
 
@@ -246,44 +254,30 @@ class DoublingCheck:
 def check_doubling(g: Graph, t: LayoutTree) -> DoublingCheck:
     """Compare class counts of (g, t) and of the lifted prism layout.
 
-    One postorder pass over t keeps two stacks of class sets: one for t
-    itself, as in class_profile, and one for the lifted tree.  Neither the
-    lifted tree nor the complementary prism is built.  Base leaf u stands
-    for the lifted cherry over u and n + u, whose class set holds both
-    prism rows with those two vertices cleared: N(u) on the G side, and
-    the complement row of u shifted to the bar side.  The lifted leaves
-    below it count 1, which no cherry undercuts.  A base internal node
-    with cover m has lifted cover m | m << n.  The result equals the
-    maxima of class_profile(g, t) and of
-    class_profile(complementary_prism(g), prism_layout(t)), which the
-    tests use as the reference.
+    The lifted counts follow from the base class sets, so one walk of t
+    gives both and neither the lifted tree nor the prism is built.  Take a
+    base node with cover m, class set B, and F = full & ~m the vertices
+    outside it; its lifted copy covers m and the bar partners of m.  In
+    the prism, a covered u keeps its signature s = N(u) & ~m, since its
+    partner n + u is covered, and the partner's signature is the
+    complement row of u outside m, (F ^ s) << n.  The map s -> F ^ s is
+    one to one, and a G-side and a bar-side signature can only meet at 0.
+    So the lifted copy has 2|B| classes, or 2|B| - 1 when both 0 and F lie
+    in B; that is at most twice |B|, so the check holds for every graph
+    and tree.  The lifted leaves below each cherry count 1, which no
+    cherry undercuts.  The result equals the maxima of class_profile(g, t)
+    and of class_profile(complementary_prism(g), prism_layout(t)), which
+    the tests use as the reference.
     """
-    _check_cover(t, g.order)
-    n, adj = g.order, g.adj
-    full = (1 << n) - 1
+    full = (1 << g.order) - 1
     base_max = prism_max = 0
-    base_stack: list[set[int]] = []  # class sets of finished subtrees awaiting their parent
-    lifted_stack: list[set[int]] = []  # the same for their lifted copies
-    for node in t.postorder():
-        u = node.vertex
-        if u is not None:
-            base, lifted = {adj[u]}, {adj[u], (full ^ adj[u] ^ 1 << u) << n}
-        else:
-            m = node.leaf_mask
-            keep = ~m
-            right = base_stack.pop()
-            base = {sig & keep for sig in base_stack.pop()}
-            base.update([sig & keep for sig in right])
-            keep = ~(m | m << n)
-            right = lifted_stack.pop()
-            lifted = {sig & keep for sig in lifted_stack.pop()}
-            lifted.update([sig & keep for sig in right])
-        base_stack.append(base)
-        lifted_stack.append(lifted)
-        if len(base) > base_max:
-            base_max = len(base)
-        if len(lifted) > prism_max:
-            prism_max = len(lifted)
+    for node, classes in _class_sets(g, t):
+        outside = full & ~node.leaf_mask
+        lifted = 2 * len(classes) - (0 in classes and outside in classes)
+        if len(classes) > base_max:
+            base_max = len(classes)
+        if lifted > prism_max:
+            prism_max = lifted
     return DoublingCheck(base_max, prism_max)
 
 

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cycleprism import BAR_SEP, _WINDOWS, _missed, _prism, _require_scope
-from .idcode import HitTables, hitting_instance
+from .idcode import _PASS, HitTables, hitting_instance
 
 
 def _check_n(n: int) -> None:
@@ -49,16 +49,20 @@ def condition_satisfied(n: int, codes: np.ndarray) -> np.ndarray:
     A family's instances hold where its missed row is 0, except BAR_SEP,
     which holds where at most one position is blind: every ordered pair
     of distinct blind positions is an instance, those two steps apart
-    at offset n - 2.
+    at offset n - 2.  The codes go in passes of `idcode._PASS`, as in
+    `HitTables.hits_all`, so each window's temporaries stay in cache.
     """
     _check_n(n)
     _require_scope(n)
-    x, xbar = codes & (1 << n) - 1, codes >> n
-    ok = np.ones(codes.shape, dtype=bool)
-    for family, cycle_offsets, bar_offsets, _ in _WINDOWS:
-        missed = _missed(n, x, xbar, cycle_offsets, bar_offsets)
-        ok &= np.bitwise_count(missed) <= 1 if family == BAR_SEP else missed == 0
-    return ok
+    flat = codes.reshape(-1)
+    ok = np.ones(flat.shape, dtype=bool)
+    for start in range(0, len(flat), _PASS):
+        part, verdict = flat[start:start + _PASS], ok[start:start + _PASS]
+        x, xbar = part & (1 << n) - 1, part >> n
+        for family, cycle_offsets, bar_offsets, _ in _WINDOWS:
+            missed = _missed(n, x, xbar, cycle_offsets, bar_offsets)
+            verdict &= np.bitwise_count(missed) <= 1 if family == BAR_SEP else missed == 0
+    return ok.reshape(codes.shape)
 
 
 @lru_cache(maxsize=32)

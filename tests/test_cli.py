@@ -261,7 +261,8 @@ def test_cwcheck_random_and_file(capsys, tmp_path):
 
 def test_cwcheck_frozen(capsys):
     # SHA-256 of the output taken when check_doubling still built the lifted
-    # layout tree: the one-pass walk must reproduce every trial's counts.
+    # layout tree: the counts derived from the base class sets must
+    # reproduce every trial's.
     code, out, _ = run(capsys, "cwcheck", "40", "--trials", "200", "--seed", "7", "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == "7b241e408365ad4e82848aa2a3714eaa43cb17e9a96fc59d56cf0baddb169383"

@@ -23,7 +23,6 @@ from prismcode.idcode import (
     InfeasibleInstanceError,
     greedy_code,
     hitting_instance,
-    hits_all,
     is_identifying_code,
     vertex_label,
 )
@@ -158,13 +157,13 @@ def test_hits_all_matches_scalar_on_random_masks():
             mask_of(rng.choice(64, size=rng.integers(1, 7), replace=False).tolist())
             for _ in range(count)
         ]
-        assert hits_all(masks, constraints).tolist() == _scalar_hits_all(masks, constraints)
+        assert HitTables(constraints).hits_all(masks).tolist() == _scalar_hits_all(masks, constraints)
 
 
 def test_hits_all_empty_constraint_list():
     masks = np.array([0, 1, 2 ** 64 - 1], dtype=np.uint64)
-    assert hits_all(masks, []).tolist() == [True, True, True]
-    assert hits_all(np.zeros(0, dtype=np.uint64), [1, 2]).tolist() == []
+    assert HitTables([]).hits_all(masks).tolist() == [True, True, True]
+    assert HitTables([1, 2]).hits_all(np.zeros(0, dtype=np.uint64)).tolist() == []
 
 
 def test_hits_all_dead_block_skips_later_words():
@@ -221,7 +220,7 @@ def test_hits_all_word_boundaries(count):
     masks = rng.integers(0, 2 ** 48, size=3000, dtype=np.uint64) | rng.integers(0, 2 ** 48, size=3000, dtype=np.uint64)
     masks[:5] = [0, 2 ** 48 - 1, 2 ** 64 - 1, 1, 2 ** 47]
     want = _scalar_hits_all(masks, constraints)
-    assert hits_all(masks, constraints).tolist() == want
+    assert HitTables(constraints).hits_all(masks).tolist() == want
     assert 0 < sum(want) < len(want) or count == 0
 
 
@@ -236,7 +235,7 @@ def test_hits_all_every_width(width):
     masks[:250] &= np.uint64(2 ** width - 1)
     masks[:2] = [2 ** 64 - 2 ** width, 2 ** 64 - 1]
     want = _scalar_hits_all(masks, constraints)
-    assert hits_all(masks, constraints).tolist() == want
+    assert HitTables(constraints).hits_all(masks).tolist() == want
     assert want[:2] == [False, True]
 
 
@@ -246,16 +245,17 @@ def test_hits_all_mask_array_shapes():
     grid = rng.integers(0, 2 ** 30, size=(40, 60), dtype=np.uint64)
     want = np.array(_scalar_hits_all(grid.reshape(-1), constraints)).reshape(grid.shape)
     assert 0 < want.sum() < want.size
-    got = hits_all(grid, constraints)
+    tables = HitTables(constraints)
+    got = tables.hits_all(grid)
     assert got.shape == grid.shape and np.array_equal(got, want)
     strided = grid[::3, 1::2]
-    assert not strided.flags.c_contiguous and np.array_equal(hits_all(strided, constraints), want[::3, 1::2])
+    assert not strided.flags.c_contiguous and np.array_equal(tables.hits_all(strided), want[::3, 1::2])
     frozen = grid.copy()
     frozen.flags.writeable = False
-    assert np.array_equal(hits_all(frozen, constraints), want)
-    assert np.array_equal(hits_all(grid.T, constraints), want.T)
+    assert np.array_equal(tables.hits_all(frozen), want)
+    assert np.array_equal(tables.hits_all(grid.T), want.T)
     for empty in (np.zeros(0, dtype=np.uint64), np.zeros((0, 4), dtype=np.uint64)):
-        assert hits_all(empty, constraints).shape == empty.shape
+        assert tables.hits_all(empty).shape == empty.shape
 
 
 def test_hits_all_blocks_that_never_empty():
@@ -266,7 +266,7 @@ def test_hits_all_blocks_that_never_empty():
         rng.integers(0, 2 ** 64, size=200, dtype=np.uint64),
     ])
     rest = iter(constraints)
-    got = hits_all(masks, rest)
+    got = HitTables(rest).hits_all(masks)
     assert got[0] and got.tolist() == _scalar_hits_all(masks, constraints)
     assert next(rest, None) is None
 

@@ -187,6 +187,26 @@ def test_check_doubling_cycles_balanced(n):
         assert (result.base_max, result.prism_max) == (3, 6)
 
 
+def test_lifted_counts_follow_base_class_sets():
+    # check_doubling's identity node by node: a base node with cover m and
+    # class set B lifts to a node with 2|B| classes, one fewer when both 0
+    # and the outside F = full & ~m lie in B.
+    rng = random.Random(16)
+    graphs = [Graph(1, [0]), Graph(7, [0] * 7), Graph.from_edges(7, [(u, v) for u in range(7) for v in range(u + 1, 7)])]
+    graphs += [random_graph(order, rng, rng.random()) for order in [rng.randint(1, 24) for _ in range(30)]]
+    for g in graphs:
+        n, full = g.order, (1 << g.order) - 1
+        for t in (balanced_layout_tree(n), random_layout_tree(n, rng)):
+            lifted = prism_layout(t)
+            counts = class_profile(complementary_prism(g), lifted).counts
+            lifted_counts = dict(zip([node.leaf_mask for node in lifted.postorder()], counts))
+            for node in t.postorder():
+                m = node.leaf_mask
+                classes = {g.adj[u] & ~m for u in node.leaves()}
+                outside = full & ~m
+                assert lifted_counts[m | m << n] == 2 * len(classes) - (0 in classes and outside in classes)
+
+
 def test_random_layout_tree_deterministic():
     t1 = random_layout_tree(9, random.Random(5))
     t2 = random_layout_tree(9, random.Random(5))

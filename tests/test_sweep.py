@@ -7,7 +7,7 @@ import pytest
 
 from prismcode.cycleprism import CodePair, check_conditions, condition_masks
 from prismcode.graphs import complementary_prism, cycle, mask_of
-from prismcode.idcode import hits_all, is_identifying_code
+from prismcode.idcode import HitTables, is_identifying_code
 from prismcode.sweep import (
     all_codes,
     bar_counts,
@@ -56,7 +56,7 @@ def test_vector_matches_scalar(n):
 
 def mask_route(n, codes):
     """condition_satisfied's reference: one "mask & code != 0" test per condition_masks instance."""
-    return hits_all(codes, [c.mask for c in condition_masks(n)])
+    return HitTables([c.mask for c in condition_masks(n)]).hits_all(codes)
 
 
 def blind_codes(n):
