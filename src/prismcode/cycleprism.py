@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 import json
-import math
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .graphs import Graph, ball_table, bits, complementary_prism, cycle
@@ -121,7 +120,7 @@ class CodePair:
         The bar vertex at such a position meets the code in exactly the
         whole bar side, so any two blind positions are unseparated.
         """
-        return frozenset(bits(_missed(self.n, self.x, self.xbar, *_BLIND)))
+        return frozenset(bits(_missed(self.n, *_doubled(self.n, self.x, self.xbar), *_BLIND)))
 
 
 class Condition(NamedTuple):
@@ -181,15 +180,20 @@ _WINDOWS = (
 )
 
 
+def _doubled(n: int, x, xbar):
+    """Both rows doubled to 2n bits, as _missed takes them."""
+    return x | x << n, xbar | xbar << n
+
+
 def _missed(n: int, x, xbar, cycle_offsets: tuple[int, ...], bar_offsets: tuple[int, ...]):
     """Row of the anchors a whose window misses the code: no x[a + c], no xbar[a + b].
 
-    In a row doubled to 2n bits, bit a + k is bit (a + k) mod n of the row,
-    so a right shift by k mod n lines position a + k up with anchor a.
-    The rows are Python ints for one pair, or uint64 arrays for many
-    (2n <= 62 bits) with one missed row per element.
+    The rows come doubled (_doubled): in a row doubled to 2n bits, bit
+    a + k is bit (a + k) mod n of the row, so a right shift by k mod n
+    lines position a + k up with anchor a.  The rows are Python ints for
+    one pair, or uint64 arrays for many (2n <= 62 bits) with one missed
+    row per element.
     """
-    x, xbar = x | x << n, xbar | xbar << n
     hit = 0
     for c in cycle_offsets:
         hit |= x >> c % n
@@ -252,17 +256,21 @@ def check_conditions(code: CodePair) -> ConditionReport:
     miss the code are the complement of the OR of the code's rows rotated
     by the family's offsets.  BAR_SEP instances are violated exactly at
     the pairs of blind positions, so the check costs O(n + blind^2)
-    integer operations, not one mask test per instance.
+    integer operations, not one mask test per instance.  BAR_SEP's missed
+    row is the blind window's, so it also gives the report's blind_bar.
     """
-    _require_scope(code.n)
+    n = code.n
+    _require_scope(n)
+    rows = _doubled(n, code.x, code.xbar)
     violations: list[Violation] = []
     for family, cycle_offsets, bar_offsets, step in _WINDOWS:
-        missed = list(bits(_missed(code.n, code.x, code.xbar, cycle_offsets, bar_offsets)))
+        missed = list(bits(_missed(n, *rows, cycle_offsets, bar_offsets)))
         if family == BAR_SEP:
-            violations += [Violation(family, pair) for pair in _bar_sep_pairs(missed, code.n)]
+            blind = missed
+            violations += [Violation(family, pair) for pair in _bar_sep_pairs(missed, n)]
         else:
-            violations += [Violation(family, _indices(a, step, code.n)) for a in missed]
-    return ConditionReport(code.n, tuple(violations), code.bad_indices(), code.blind_bar())
+            violations += [Violation(family, _indices(a, step, n)) for a in missed]
+    return ConditionReport(n, tuple(violations), code.bad_indices(), frozenset(blind))
 
 
 @lru_cache(maxsize=64)
@@ -319,7 +327,7 @@ def upper_bound(n: int) -> tuple[int, Fraction]:
 def lower_bound(n: int) -> int:
     """ceil(7n/9 - 12); every code has at least this many members."""
     _require_scope(n)
-    return math.ceil(Fraction(7 * n, 9) - 12)
+    return -((108 - 7 * n) // 9)
 
 
 _FLOOR_EXCESS = (0, 2, -5, 6, -1, 1, 3, 5, -2)

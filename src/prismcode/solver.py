@@ -35,10 +35,14 @@ answered cap-exceeded at once; a lex-min pair that passes `verify_code`
 is the answer, with nodes = 0 (every optimal code is a clean pair of at
 least the floor's size, so it is optimal and lex-min among the optima).
 Otherwise (n = 9, 10 and 12, where the conditions are not sufficient)
-the search runs, starting from the floor as a lower bound: once the
-incumbent reaches it, only lexicographically smaller ties are searched.
-Other inputs, and the exhaustive strategy, take neither the closed forms
-nor the floor.
+the search runs from the floor as a lower bound, seeded with
+`pattern_code(n)` once `verify_code` confirms it.  At those n the
+pattern code already has the floor's size, so the optimum is known at
+the root and the search only looks for a lexicographically smaller tie:
+each node first asks whether one is still possible, before its pass over
+the unhit constraints.  Other inputs take neither the closed forms nor
+the floor, and are seeded with `idcode.greedy_code`; the exhaustive
+strategy takes none of them.
 That shared canonical answer is the determinism contract: strategies
 agree on everything except wall-clock time and node counts, and repeated
 runs on everything except wall-clock time.
@@ -118,9 +122,13 @@ def solve_min_idcode(g: Graph, d: int, options: Optional[SolverOptions] = None) 
     if floor:
         if opts.size_cap is not None and opts.size_cap < floor:
             return SolverResult(CAP_EXCEEDED, elapsed=time.perf_counter() - start)
-        pair = lexmin_pair(g.order // 2)
+        n = g.order // 2
+        pair = lexmin_pair(n)
         if verify_code(pair):
             return SolverResult(OPTIMAL, size=floor, code=pair.vertices(), elapsed=time.perf_counter() - start)
+        pattern = pattern_code(n)
+        if not verify_code(pattern):
+            raise AssertionError(f"pattern_code({n}) does not identify")
     inst = hitting_instance(g, d)
     if not inst.feasible:
         return SolverResult(
@@ -130,7 +138,7 @@ def solve_min_idcode(g: Graph, d: int, options: Optional[SolverOptions] = None) 
     if opts.strategy == "exhaustive":
         size, code, nodes = _exhaustive(inst, opts.size_cap)
     else:
-        size, code, nodes = _bnb(inst, opts.size_cap, floor)
+        size, code, nodes = _bnb(inst, opts.size_cap, floor, pattern.vertices() if floor else None)
     elapsed = time.perf_counter() - start
     if size is None:
         return SolverResult(CAP_EXCEEDED, nodes=nodes, elapsed=elapsed)
@@ -204,6 +212,18 @@ def _lex_subsets(n: int, k: int) -> np.ndarray:
 
 # ---------------------------------------------------------- branch and bound
 
+def _may_tie(reach: int, best_mask: Optional[int]) -> bool:
+    """Can a set within reach, of best_mask's size, sort before best_mask?
+
+    It must take a vertex of reach outside best_mask before missing one of
+    best_mask's.  A bare bound (best_mask None) admits no tie.
+    """
+    if best_mask is None:
+        return False
+    fresh = reach & ~best_mask
+    return bool(fresh) and not best_mask & ~reach & (fresh & -fresh) - 1
+
+
 def _search(
     unhit: list[int], chosen: int, allowed: int, best: tuple[int, Optional[int]], counter: list[int],
     floor: int,
@@ -218,20 +238,19 @@ def _search(
     vertex added comes from allowed) and the first narrowest live part,
     whose vertices are the children, lowest first.  floor is a lower
     bound on every hitting set, so floor - size bounds the vertices still
-    needed as well.
+    needed as well; once floor reaches best's size only a tie can win, and
+    the tie test runs before the pass.
     """
     counter[0] += 1
     size = chosen.bit_count()
     best_size, best_mask = best
     if not unhit:
-        if size < best_size:
+        if size < best_size or size == best_size and _may_tie(chosen, best_mask):
             return size, chosen
-        if size == best_size and best_mask is not None:
-            d = chosen ^ best_mask
-            if chosen & d & -d:
-                return size, chosen
         return best
     if size + 1 > best_size:
+        return best
+    if floor >= best_size and not _may_tie(chosen | allowed, best_mask):
         return best
     lb = used = pick = 0
     pick_width = allowed.bit_count() + 1
@@ -249,15 +268,8 @@ def _search(
     lb = max(lb, floor - size)
     if size + lb > best_size:
         return best
-    if size + lb == best_size:
-        # Only a tie can still win; it must take a vertex of reach outside
-        # best_mask before missing one of best_mask's.
-        if best_mask is None:
-            return best
-        reach = chosen | allowed
-        fresh = reach & ~best_mask
-        if not fresh or best_mask & ~reach & (fresh & -fresh) - 1:
-            return best
+    if size + lb == best_size and floor < best_size and not _may_tie(chosen | allowed, best_mask):
+        return best
     sub_allowed = allowed
     while pick:
         vbit = pick & -pick
@@ -268,18 +280,20 @@ def _search(
     return best
 
 
-def _bnb(inst: HittingInstance, cap: Optional[int], floor: int):
-    """Lex-min optimal hitting set from one search, seeded by the greedy code.
+def _bnb(inst: HittingInstance, cap: Optional[int], floor: int, incumbent: Optional[tuple[int, ...]] = None):
+    """Lex-min optimal hitting set from one search, seeded by an incumbent hitting set.
 
     floor must not exceed the optimum; the search starts from it as a
-    lower bound on every hitting set.
+    lower bound on every hitting set.  The incumbent defaults to the
+    greedy code; one larger than cap gives way to the bare bound cap + 1.
     """
-    greedy = greedy_code(inst)
-    if cap is None or cap >= len(greedy):
-        seed = (len(greedy), mask_of(greedy))
+    if incumbent is None:
+        incumbent = greedy_code(inst)
+    if cap is None or cap >= len(incumbent):
+        seed = (len(incumbent), mask_of(incumbent))
     else:
         seed = (cap + 1, None)
-    unhit = sorted(inst.constraints, key=lambda c: c.bit_count())
+    unhit = sorted(inst.constraints, key=int.bit_count)
     counter = [0]
     size, mask = _search(unhit, 0, (1 << inst.universe) - 1, seed, counter, floor)
     if mask is None:

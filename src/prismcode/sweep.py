@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cycleprism import BAR_SEP, _WINDOWS, _missed, _prism, _require_scope
+from .cycleprism import BAR_SEP, _WINDOWS, _doubled, _missed, _prism, _require_scope
 from .idcode import _PASS, HitTables, hitting_instance
 
 
@@ -58,9 +58,9 @@ def condition_satisfied(n: int, codes: np.ndarray) -> np.ndarray:
     ok = np.ones(flat.shape, dtype=bool)
     for start in range(0, len(flat), _PASS):
         part, verdict = flat[start:start + _PASS], ok[start:start + _PASS]
-        x, xbar = part & (1 << n) - 1, part >> n
+        rows = _doubled(n, part & (1 << n) - 1, part >> n)
         for family, cycle_offsets, bar_offsets, _ in _WINDOWS:
-            missed = _missed(n, x, xbar, cycle_offsets, bar_offsets)
+            missed = _missed(n, *rows, cycle_offsets, bar_offsets)
             verdict &= np.bitwise_count(missed) <= 1 if family == BAR_SEP else missed == 0
     return ok.reshape(codes.shape)
 

@@ -8,6 +8,7 @@ implied by separation, and the test pins down exactly that asymmetry.
 """
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -124,6 +125,11 @@ def test_bounds_ordering():
         assert lower_bound(n) <= exact
         assert exact <= analytic  # the analytic bound is never tighter
         assert pattern_code(n).size == exact
+
+
+def test_lower_bound_is_the_rational_ceiling():
+    for n in range(9, 10**5 + 1):
+        assert lower_bound(n) == math.ceil(Fraction(7 * n, 9) - 12), n
 
 
 @pytest.mark.parametrize("fn", [pattern_code, upper_bound, lower_bound, check_conditions])

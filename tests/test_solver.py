@@ -28,7 +28,7 @@ from prismcode.solver import (
     ic_table,
     solve_min_idcode,
 )
-from prismcode.cycleprism import condition_floor, lexmin_pair
+from prismcode.cycleprism import condition_floor, lexmin_pair, upper_bound
 
 import bruteforce as bf
 
@@ -266,6 +266,39 @@ def test_transfer_route_answers_prisms_of_cycles_without_search():
             assert res.nodes > 0 and res.code != lexmin_pair(n).vertices()
         else:
             assert res.nodes == 0 and res.code == lexmin_pair(n).vertices(), n
+
+
+def test_fallback_search_starts_from_the_pattern_code(monkeypatch):
+    # At n = 9, 10 and 12 the pattern code already has the floor's size, so
+    # the search only looks for the lex-min tie, capped (as scan runs it)
+    # or not.  The greedy code is never built on this route.
+    def no_greedy(inst):
+        raise AssertionError("greedy_code called on the prism route")
+
+    monkeypatch.setattr(solver, "greedy_code", no_greedy)
+    for n, nodes in {9: 114, 10: 118, 12: 126}.items():
+        g = complementary_prism(cycle(n))
+        for cap in (upper_bound(n)[0], None):
+            res = solve_min_idcode(g, 1, SolverOptions(size_cap=cap))
+            assert (res.status, res.size, res.nodes) == (OPTIMAL, condition_floor(n), nodes), (n, cap)
+            assert res.code == solve_min_idcode(g, 1, SolverOptions("exhaustive", cap)).code, (n, cap)
+
+
+def test_fallback_refuses_a_pattern_code_that_does_not_identify(monkeypatch):
+    monkeypatch.setattr(solver, "pattern_code", lexmin_pair)  # fails verify_code at n = 9
+    with pytest.raises(AssertionError, match="does not identify"):
+        solve_min_idcode(complementary_prism(cycle(9)), 1)
+
+
+def test_strategies_agree_at_every_cap_on_fallback_prisms():
+    # test_strategies_agree_at_every_cap stops at C_9; C_10 and C_12 are the
+    # other prisms of cycles where the search runs from the floor.
+    for n in (10, 12):
+        g, floor = complementary_prism(cycle(n)), condition_floor(n)
+        for cap in range(floor - 1, floor + 3):
+            a = solve_min_idcode(g, 1, SolverOptions(strategy="exhaustive", size_cap=cap))
+            b = solve_min_idcode(g, 1, SolverOptions(strategy="bnb", size_cap=cap))
+            assert (a.status, a.size, a.code) == (b.status, b.size, b.code), (n, cap)
 
 
 def test_transfer_route_cap_below_floor():

@@ -42,7 +42,8 @@ to 200 except 9, 10 and 12), it is the lex-min optimal code.  The
 package answers from closed forms, `cycleprism.condition_floor` and
 `cycleprism.lexmin_pair`, which this DP is the reference for; the
 solver returns the closed-form pair with nodes = 0 where it identifies
-and elsewhere runs branch and bound from the floor.
+and elsewhere runs branch and bound from the floor, seeded with the
+verified pattern code, which has the floor's size at n = 9, 10 and 12.
 
 The window tables are derived from `condition_masks` and
 `CodePair.blind_bar` at a reference n, never retyped, and only
