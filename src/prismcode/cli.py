@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("stop", type=int)
     p.add_argument("-d", type=int, default=1)
     p.add_argument("--strategy", choices=("exhaustive", "bnb"), default="bnb")
-    p.add_argument("--cap", type=int, default=None, help="override the default per-n cap")
+    p.add_argument("--cap", type=int, default=None, help="certify each optimum or prove it exceeds this size")
     _add_format_flags(p)
     p.set_defaults(func=cmd_scan)
 

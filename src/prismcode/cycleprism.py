@@ -15,8 +15,9 @@ With fewer bar members the conditions stay necessary but not sufficient.
 verify_code always decides with the definitional check on the prism.
 
 pattern_code builds the periodic code witnessing the n - 2*floor(n/9)
-upper bound; exchange applies a local rewrite that removes empty columns
-from a code without growing it, and when both rewrites fail it exhibits
+bound from a word of column digits, cycle bit + 2 * bar bit, as
+lexmin_pair does; exchange removes empty columns by a local rewrite
+that does not grow the code, and when both rewrites fail it exhibits
 the rigid 9-column window that blocks them.
 
 Two closed forms answer the prism of C_n without a search.
@@ -52,6 +53,7 @@ NOT_APPLICABLE = "not-applicable"
 
 # Both rows of the rigid window that survives every exchange.
 WINDOW_ROW = (1, 0, 0, 1, 0, 1, 0, 0, 1)
+_WINDOW_MASK = sum(bit << k for k, bit in enumerate(WINDOW_ROW))
 
 
 @dataclass(frozen=True)
@@ -99,16 +101,12 @@ class CodePair:
         lines = [line.strip() for line in text.splitlines() if line.strip()]
         if len(lines) != 2 or len(lines[0]) != len(lines[1]) or not lines[0]:
             raise ValueError("expected two nonempty 0/1 lines of equal length")
-        if set(lines[0]) | set(lines[1]) > {"0", "1"}:
+        if not set(lines[0] + lines[1]) <= {"0", "1"}:
             raise ValueError("code rows must consist of 0 and 1 only")
-        n = len(lines[0])
-        x = sum(1 << a for a, ch in enumerate(lines[0]) if ch == "1")
-        xbar = sum(1 << a for a, ch in enumerate(lines[1]) if ch == "1")
-        return cls(n, x, xbar)
+        return cls(len(lines[0]), int(lines[0][::-1], 2), int(lines[1][::-1], 2))
 
     def to_strings(self) -> str:
-        row = lambda m: "".join("1" if m >> a & 1 else "0" for a in range(self.n))
-        return row(self.x) + "\n" + row(self.xbar) + "\n"
+        return "".join(format(row, f"0{self.n}b")[::-1] + "\n" for row in (self.x, self.xbar))
 
     def bad_indices(self) -> frozenset:
         """Positions whose column is all-zero: neither the cycle nor the bar vertex chosen."""
@@ -300,22 +298,25 @@ def verify_code(code: CodePair) -> bool:
     return verification_report(ball_table(_prism(code.n), 1), code.vertex_mask).valid
 
 
+_CYCLE_BIT = str.maketrans("0123", "0101")  # a column's cycle bit, as a digit
+_BAR_BIT = str.maketrans("0123", "0011")    # a column's bar bit, as a digit
+
+
+def _pair(word: str) -> CodePair:
+    """The pair whose column i is word[i], a digit cycle bit + 2 * bar bit."""
+    word = word[::-1]  # column i at bit i
+    return CodePair(len(word), int(word.translate(_CYCLE_BIT), 2), int(word.translate(_BAR_BIT), 2))
+
+
 def pattern_code(n: int) -> CodePair:
     """The periodic code of size n - 2*floor(n/9).
 
     Per 9-block: cycle positions congruent to 1,2,3 and bar positions
-    congruent to 5,6,7,8 (1-based); every cycle position past the last
-    full block joins the code as well.
+    congruent to 5,6,7,8 (1-based), the column word 111022220; every
+    cycle position past the last full block joins the code as well.
     """
     _require_scope(n)
-    k = n // 9
-    x = xbar = 0
-    for i in range(1, n + 1):  # 1-based to keep the residues readable
-        if (i % 9 in (1, 2, 3) and i <= 9 * k) or i > 9 * k:
-            x |= 1 << i - 1
-        if i % 9 in (5, 6, 7, 8) and i <= 9 * k:
-            xbar |= 1 << i - 1
-    return CodePair(n, x, xbar)
+    return _pair("111022220" * (n // 9) + "1" * (n % 9))
 
 
 def upper_bound(n: int) -> tuple[int, Fraction]:
@@ -331,14 +332,12 @@ def lower_bound(n: int) -> int:
 
 
 _FLOOR_EXCESS = (0, 2, -5, 6, -1, 1, 3, 5, -2)
-# lexmin_pair(n) as a cyclic word of columns, each cycle bit + 2 * bar bit:
-# _LEXMIN_HEAD[n % 9], then 9-column blocks up to n columns.
+# lexmin_pair(n) as a cyclic column word: _LEXMIN_HEAD[n % 9], then
+# 9-column blocks up to n columns.
 _LEXMIN_HEAD = (
     "111103020", "1111103020", "30101030220", "111111103020",
     "1110", "11110", "111110", "1111110", "11103020",
 )
-_CYCLE_BIT = str.maketrans("0123", "0101")  # a column's cycle bit, as a digit
-_BAR_BIT = str.maketrans("0123", "0011")    # a column's bar bit, as a digit
 
 
 def condition_floor(n: int) -> int:
@@ -377,8 +376,7 @@ def lexmin_pair(n: int) -> CodePair:
     _require_scope(n)
     head = _LEXMIN_HEAD[n % 9]
     block = "301030220" if n % 9 == 2 else "111022220"
-    word = (head + block * ((n - len(head)) // 9))[::-1]  # column i at bit i
-    return CodePair(n, int(word.translate(_CYCLE_BIT), 2), int(word.translate(_BAR_BIT), 2))
+    return _pair(head + block * ((n - len(head)) // 9))
 
 
 @dataclass(frozen=True)
@@ -427,9 +425,6 @@ def exchange(code: CodePair, a: int) -> ExchangeResult:
 
 
 def _window_at(code: CodePair, start: int) -> bool:
-    n = code.n
-    for k, want in enumerate(WINDOW_ROW):
-        p = (start + k) % n
-        if (code.x >> p & 1) != want or (code.xbar >> p & 1) != want:
-            return False
-    return True
+    """Do both rows read WINDOW_ROW from column start on, cyclically (n >= 9)?"""
+    width = (1 << len(WINDOW_ROW)) - 1
+    return all(row >> start & width == _WINDOW_MASK for row in _doubled(code.n, code.x, code.xbar))

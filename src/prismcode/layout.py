@@ -9,12 +9,14 @@ tangled the graph is with respect to that layout.
 class_profile counts every node in one bottom-up pass: a node's classes
 are its children's classes with its own cover cleared, so a node costs
 its children's class counts rather than its cover size, and a whole
-tree at most the sum of its cover sizes.  postorder, equality, hashing,
-format_layout, parse_layout, class_profile and prism_layout walk with an
-explicit stack, so trees as deep as the order limit work.  The two tree
-builders, balanced_layout_tree and random_layout_tree, still recurse, but
-only as deep as the trees they build: about log2(order) for the balanced
-one and O(log order) expected for random splits.
+tree at most the sum of its cover sizes.  LayoutTree.postorder is the
+one walk, by explicit stack: equality and hashing compare its leaf
+labels, format_layout, class_profile and prism_layout fold it bottom up,
+and parse_layout is one shift-reduce pass, so trees as deep as the order
+limit work.  The tree builders, balanced_layout_tree and
+random_layout_tree, recurse, but only as deep as the trees they build:
+about log2(order) for the balanced one and O(log order) expected for
+random splits.
 
 The point proved here: lifting a layout tree to the complementary prism,
 by replacing each leaf u with a cherry over u and its bar partner, at
@@ -31,6 +33,7 @@ complementary_prism.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -87,29 +90,17 @@ class LayoutTree:
                 stack += (node.left, node.right)
         return reversed(visited)
 
+    def _signature(self) -> tuple[Optional[int], ...]:
+        """Leaf labels in postorder, None at internal nodes; it determines the tree."""
+        return tuple(node.vertex for node in self.postorder())
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, LayoutTree):
             return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if a.vertex != b.vertex or a.leaf_mask != b.leaf_mask:
-                return False
-            if a.vertex is None:
-                stack += ((a.right, b.right), (a.left, b.left))
-        return True
+        return self is other or self._signature() == other._signature()
 
     def __hash__(self) -> int:
-        hashes: list[int] = []
-        for node in self.postorder():
-            if node.vertex is not None:
-                hashes.append(hash(("leaf", node.vertex)))
-            else:
-                right = hashes.pop()
-                hashes[-1] = hash((hashes[-1], right))
-        return hashes[0]
+        return hash(self._signature())
 
     def __repr__(self) -> str:
         return f"LayoutTree({format_layout(self)!r})"
@@ -117,56 +108,46 @@ class LayoutTree:
 
 def format_layout(t: LayoutTree) -> str:
     """Nested parens with 1-based leaf labels, e.g. "((1,2),(3,4))"."""
-    out = []
-    stack: list = [t]  # subtrees still to write, and the punctuation between them
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-        elif item.vertex is not None:
-            out.append(str(item.vertex + 1))
+    texts: list[str] = []  # texts of finished subtrees awaiting their parent
+    for node in t.postorder():
+        if node.vertex is not None:
+            texts.append(str(node.vertex + 1))
         else:
-            out.append("(")
-            stack += (")", item.right, ",", item.left)
-    return "".join(out)
+            right = texts.pop()
+            texts[-1] = f"({texts[-1]},{right})"
+    return texts[0]
 
 
 def parse_layout(text: str) -> LayoutTree:
-    s = "".join(text.split())
-    pos = 0
-    # One entry per '(' still open: None while its left child is being read,
-    # then the finished left child while its right child is being read.
-    open_nodes: list[Optional[LayoutTree]] = []
-    while True:
-        while pos < len(s) and s[pos] == "(":
-            open_nodes.append(None)
-            pos += 1
-        start = pos
-        while pos < len(s) and s[pos].isdigit():
-            pos += 1
-        if start == pos:
-            raise GraphFormatError(f"expected a leaf label at offset {pos} of layout text")
-        label = int(s[start:pos])
-        if label < 1:
-            raise GraphFormatError("leaf labels are 1-based")
-        tree = LayoutTree.leaf(label - 1)
-        while open_nodes and open_nodes[-1] is not None:
-            if pos >= len(s) or s[pos] != ")":
-                raise GraphFormatError(f"expected ')' at offset {pos} of layout text")
-            pos += 1
-            left = open_nodes.pop()
-            if left.leaf_mask & tree.leaf_mask:
-                raise GraphFormatError("layout tree repeats a leaf label")
-            tree = LayoutTree.node(left, tree)
-        if not open_nodes:
-            break
-        if pos >= len(s) or s[pos] != ",":
-            raise GraphFormatError(f"expected ',' at offset {pos} of layout text")
-        pos += 1
-        open_nodes[-1] = tree
-    if pos != len(s):
-        raise GraphFormatError(f"trailing characters at offset {pos} of layout text")
-    return tree
+    """Read format_layout's text back; whitespace is ignored everywhere, even inside labels.
+
+    One shift-reduce pass: labels, '(' and ',' are pushed, and each ')'
+    reduces the top four entries, '(' left ',' right, to one node.  Error
+    offsets count the text with its whitespace removed.
+    """
+    stack: list = []  # '(' and ',' as strings, finished subtrees as LayoutTree
+    for token in re.finditer(r"\d+|\D", "".join(text.split())):  # a label, or one other character
+        item = token.group()
+        if item.isdecimal():
+            label = int(item)
+            if label < 1:
+                raise GraphFormatError("leaf labels are 1-based")
+            stack.append(LayoutTree.leaf(label - 1))
+        elif item in ("(", ","):
+            stack.append(item)
+        elif item != ")":
+            raise GraphFormatError(f"unexpected {item!r} at offset {token.start()} of layout text")
+        else:
+            match stack[-4:]:
+                case ["(", LayoutTree() as left, ",", LayoutTree() as right]:
+                    if left.leaf_mask & right.leaf_mask:
+                        raise GraphFormatError("layout tree repeats a leaf label")
+                    stack[-4:] = [LayoutTree.node(left, right)]
+                case _:
+                    raise GraphFormatError(f"')' at offset {token.start()} does not close '(' tree ',' tree")
+    if len(stack) != 1 or isinstance(stack[0], str):
+        raise GraphFormatError("layout text is not exactly one tree")
+    return stack[0]
 
 
 def _check_cover(t: LayoutTree, order: int) -> None:

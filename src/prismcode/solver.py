@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator, Optional
@@ -318,22 +318,20 @@ class IcRow:
 def ic_table(n_values: Iterable[int], d: int = 1, options: Optional[SolverOptions] = None) -> tuple[IcRow, ...]:
     """Solve the prism of C_n for each n; attach certified bounds when they apply.
 
-    For d = 1 and n >= 9 a code of the exact upper bound's size exists, so
-    with no size cap in the options the solve is capped there.  An optimal
-    size outside [lower_bound, exact upper bound] would falsify the
-    implementation, so it raises rather than returning a row.
+    The options apply unchanged to every n, size cap included.  For d = 1
+    and n >= 9 an optimal size outside [lower_bound, exact upper bound]
+    would falsify the implementation, so it raises rather than returning
+    a row.
     """
     opts = options or SolverOptions()
     rows = []
     for n in n_values:
-        g = _prism(n)
         lower = upper = psize = None
         if d == 1 and n >= 9:
             lower = lower_bound(n)
             upper = upper_bound(n)[0]
             psize = pattern_code(n).size
-        cap = upper if opts.size_cap is None else opts.size_cap
-        res = solve_min_idcode(g, d, replace(opts, size_cap=cap))
+        res = solve_min_idcode(_prism(n), d, opts)
         if upper is not None:
             if res.status == OPTIMAL and not lower <= res.size <= upper:
                 raise AssertionError(f"optimum {res.size} outside certified bounds at n={n}")

@@ -131,6 +131,14 @@ def test_conditions_clean_and_violations(capsys, tmp_path, pattern9):
     assert run(capsys, "conditions", "8", pattern9)[0] == 64
 
 
+def test_conditions_rejects_non_binary_rows(capsys, tmp_path):
+    for i, rows in enumerate(("022000000\n000011110\n", "abcdefghi\nabcdefghi\n")):
+        path = tmp_path / f"bad{i}.txt"
+        path.write_text(rows)
+        code, out, err = run(capsys, "conditions", "9", str(path))
+        assert code == 64 and out == "" and "0 and 1" in err
+
+
 def test_solve_json_and_exit_codes(capsys, tmp_path, prism9):
     code, out, _ = run(capsys, "solve", prism9, "--json")
     assert code == 0

@@ -23,11 +23,13 @@ from prismcode.cycleprism import (
     NOT_APPLICABLE,
     PATTERN_DETECTED,
     SEP_ADJACENT,
+    WINDOW_ROW,
     SEP_DISTANCE2,
     CodePair,
     ConditionReport,
     Violation,
     check_conditions,
+    _window_at,
     condition_masks,
     exchange,
     lexmin_pair,
@@ -60,7 +62,8 @@ def test_codepair_strings_roundtrip():
 
 
 def test_codepair_errors():
-    for bad in ("111\n", "11\n111\n", "102\n000\n", ""):
+    # other characters are rejected even when the rows lack a 0 or a 1
+    for bad in ("111\n", "11\n111\n", "102\n000\n", "", "022000000\n000011110\n", "abcdefghi\nabcdefghi\n"):
         with pytest.raises(ValueError):
             CodePair.from_strings(bad)
     with pytest.raises(ValueError):
@@ -96,6 +99,23 @@ def test_pattern_members_9_11_18():
     p18 = pattern_code(18)
     assert p18.x == sum(1 << a for a in (0, 1, 2, 9, 10, 11))
     assert p18.xbar == sum(1 << a for a in (4, 5, 6, 7, 13, 14, 15, 16))
+
+
+def residue_pattern(n):
+    """pattern_code by residues, 1-based: the reference for its column-word build."""
+    k = n // 9
+    x = xbar = 0
+    for i in range(1, n + 1):
+        if (i % 9 in (1, 2, 3) and i <= 9 * k) or i > 9 * k:
+            x |= 1 << i - 1
+        if i % 9 in (5, 6, 7, 8) and i <= 9 * k:
+            xbar |= 1 << i - 1
+    return CodePair(n, x, xbar)
+
+
+def test_pattern_matches_residue_reference():
+    for n in range(9, 201):
+        assert pattern_code(n) == residue_pattern(n), n
 
 
 @pytest.mark.parametrize("n", [9, 10, 11, 17, 18, 19, 26, 27, 28, 45, 100])
@@ -348,6 +368,25 @@ def test_exchange_on_doubled_window():
     assert verify_code(improved)
     assert improved.size == code.size
     assert len(improved.bad_indices()) == len(code.bad_indices()) - 1
+
+
+def test_window_at_matches_per_column_reference():
+    # every start, so windows that wrap past column n - 1 are covered
+    def per_column(code, start):
+        return all(
+            (code.x >> (start + k) % code.n & 1) == want == (code.xbar >> (start + k) % code.n & 1)
+            for k, want in enumerate(WINDOW_ROW)
+        )
+
+    rng = random.Random(9)
+    for n in (9, 10, 13, 20):
+        for start in range(n):
+            window = sum(bit << (start + k) % n for k, bit in enumerate(WINDOW_ROW))
+            codes = [CodePair(n, window, window), random_code(n, rng)]
+            codes.append(CodePair(n, window | rng.getrandbits(n), window))
+            for code in codes:
+                assert [_window_at(code, a) for a in range(n)] == [per_column(code, a) for a in range(n)]
+            assert _window_at(codes[0], start)
 
 
 def test_exchange_improved_invariants_from_enumeration():

@@ -26,12 +26,33 @@ def test_parse_format_roundtrip():
         t = parse_layout(text)
         assert format_layout(t) == text
         assert parse_layout(format_layout(t)) == t
+    # same leaves in the same order, different shapes
+    shapes = [parse_layout(text) for text in ("(((1,2),3),4)", "((1,(2,3)),4)", "((1,2),(3,4))", "(1,((2,3),4))")]
+    assert all(a != b for i, a in enumerate(shapes) for b in shapes[i + 1:])
 
 
 def test_parse_errors():
-    for bad in ("", "(1,2", "(1,)", "((1,2)", "(1,2))", "1,2", "(1;2)", "(0,1)", "(1,1)"):
+    bad_texts = ("", "(1,2", "(1,)", "((1,2)", "(1,2))", "1,2", "(1;2)", "(0,1)", "(1,1)")
+    # a shift-reduce parse must also refuse trees side by side, a ')' with
+    # no '(' tree ',' tree under it, and a stack left with more than one tree
+    bad_texts += ("(1,2)(3,4)", "1(2,3)", "(1,(2,3)4)", "(1,,2)", "((1,2),)", "()", ",", ")", "(")
+    for bad in bad_texts:
         with pytest.raises(GraphFormatError):
             parse_layout(bad)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 64), st.integers(0, 2 ** 32 - 1), st.lists(st.sampled_from(" \t\n"), max_size=12))
+def test_parse_format_roundtrip_random(order, seed, spaces):
+    t = random_layout_tree(order, random.Random(seed))
+    text = format_layout(t)
+    rng = random.Random(seed)
+    for ws in spaces:  # whitespace anywhere, even inside a label, is ignored
+        at = rng.randint(0, len(text))
+        text = text[:at] + ws + text[at:]
+    back = parse_layout(text)
+    assert back == t and hash(back) == hash(t)
+    assert format_layout(back) == format_layout(t)
 
 
 def test_tree_shape_validation():
