@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import time
 from pathlib import Path
 
@@ -274,6 +275,54 @@ def test_cwcheck_frozen(capsys):
     code, out, _ = run(capsys, "cwcheck", "40", "--trials", "200", "--seed", "7", "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == "7b241e408365ad4e82848aa2a3714eaa43cb17e9a96fc59d56cf0baddb169383"
+
+
+def test_text_forms_exact(capsys, tmp_path, prism9):
+    files = {}
+    for name, text in (("empty", "000000000\n000000000\n"), ("drop", "011000000\n000011110\n"), ("some", "1 3 5 7\n")):
+        files[name] = tmp_path / name
+        files[name].write_text(text)
+    c9 = tmp_path / "c9.txt"
+    main(["gen", "cycle", "9", "-o", str(c9)])
+    assert run(capsys, "verify", prism9, str(files["empty"])) == (1, "invalid: empty-ball at v1\n", "")
+    assert run(capsys, "verify", str(c9), str(files["some"])) == (1, "invalid: unseparated at 1, 9\n", "")
+    assert run(capsys, "conditions", "9", str(files["drop"])) == (1, (
+        "violated dom at 9\nviolated sep-adjacent at 2,3\nviolations 2\nbad_indices 1,4,9\nblind_bar 1\n"
+    ), "")
+    assert run(capsys, "solve", prism9, "-d", "2") == (2, "status infeasible\nwitness vbar1 vbar2\nnodes 0\n", "")
+
+
+def test_transcript_frozen(capsys, tmp_path, prism9, pattern9):
+    # Every printing subcommand, each --json one in both forms, through exit
+    # codes 0, 1, 2 and 64.  The SHA-256 covers stdout and the exit codes,
+    # with the wall-clock "ms" masked; it was taken when each command still
+    # built its text and its JSON on separate paths.
+    paths = {"p9": prism9, "pat9": pattern9, "missing": str(tmp_path / "missing.txt")}
+    for name, argv in (("p6", ["gen", "prism", "6"]), ("c6", ["gen", "cycle", "6"])):
+        paths[name] = str(tmp_path / name)
+        main([*argv, "-o", paths[name]])
+    for name, text in (("zero9", "000000000\n000000000\n"), ("drop9", "011000000\n000011110\n"), ("ints", "1 3\n")):
+        paths[name] = str(tmp_path / name)
+        Path(paths[name]).write_text(text)
+    p = paths
+    both = [
+        ["verify", p["p9"], p["pat9"]], ["verify", p["p9"], p["zero9"]], ["verify", p["c6"], p["ints"]],
+        ["verify", p["p9"], p["missing"]],
+        ["conditions", "9", p["pat9"]], ["conditions", "9", p["drop9"]], ["conditions", "600", p["pat9"]],
+        ["solve", p["p9"]], ["solve", p["p9"], "--cap", "6"], ["solve", p["p9"], "-d", "2"], ["solve", p["c6"]],
+        ["solve", p["p6"], "--strategy", "exhaustive"],
+        ["twins", p["p6"], "-d", "2"], ["twins", p["c6"]],
+        ["cwcheck", "6", "--trials", "4", "--seed", "2"], ["cwcheck", p["c6"], "--trials", "2"], ["cwcheck", "0"],
+        ["scan", "6", "7", "-d", "2"], ["scan", "9", "11"], ["scan", "9", "10", "--cap", "7"], ["scan", "2", "5"],
+    ]
+    text_only = [["gen", "cycle", "5"], ["gen", "prism", "4"], ["pattern", "10", "--box"], ["pattern", "8"]]
+    transcript = []
+    for argv in text_only + [argv + form for argv in both for form in ([], ["--json"])]:
+        code = main(argv)
+        transcript.append(f"{code}\n" + re.sub(r'"ms": [0-9.e+-]+', '"ms": 0', capsys.readouterr().out))
+    assert {int(t.split()[0]) for t in transcript} == {0, 1, 2, 64}
+    digest = hashlib.sha256("".join(transcript).encode()).hexdigest()
+    assert digest == "3bd2836829b712a25b40ae472246608bf0f3c111db84193a92c469275721f792"
 
 
 def test_scan_text_and_json(capsys):
