@@ -3,9 +3,9 @@
 Subcommands cover generation (gen), checking (verify, conditions, twins,
 cwcheck), construction (pattern), and optimization (solve, scan).  Exit
 codes are part of the interface: 0 success or valid, 1 checked and found
-invalid, 2 infeasible (twins exist), 64 usage or input error.  Output is
-plain text by default; --json switches the checking and solving commands
-to the documented JSON schemas.  Diagnostics go to stderr.
+invalid, 2 infeasible (twins exist), 64 usage or input error.  The checking
+and solving commands build one documented JSON object; --json prints it and
+plain text, the default, is rendered from it.  Diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import json
 import random
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Any, Callable, Iterable, Optional
 
 from .cycleprism import CodePair, check_conditions, pattern_code, prism_cycle_length
 from .graphs import (
@@ -33,7 +33,7 @@ from .graphs import (
 )
 from .idcode import hitting_instance, is_identifying_code, vertex_label
 from .layout import check_doubling, random_layout_tree
-from .solver import SolverOptions, ic_table, format_hitting_instance, solve_min_idcode
+from .solver import STRATEGIES, SolverOptions, ic_table, format_hitting_instance, solve_min_idcode
 
 USAGE_ERROR = 64
 
@@ -50,13 +50,6 @@ def _read(path: str) -> str:
     return Path(path).read_text()
 
 
-def _emit(text: str, output: Optional[str]) -> None:
-    if output:
-        Path(output).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _require_prism_order(what: str, n: int) -> None:
     """Refuse the prism of C_n when its order 2n is above MAX_ORDER, before anything is built."""
     if 2 * n > MAX_ORDER:
@@ -69,8 +62,17 @@ def _prism_indexing(g: Graph) -> Optional[PrismIndexing]:
     return None if n is None else PrismIndexing(n)
 
 
-def _label(v: int, indexing: Optional[PrismIndexing]) -> str:
-    return str(vertex_label(v, indexing))
+def _print(args, payload, text: Callable[[Any], Iterable[str]]) -> None:
+    """Print payload as one JSON line under --json, else the lines text(payload) renders."""
+    if args.format == "json":
+        print(json.dumps(payload))
+    else:
+        print("\n".join(text(payload)))
+
+
+def _words(value, sep: str) -> str:
+    """A payload value as text: a list joined by sep, anything else by str."""
+    return sep.join(map(str, value)) if isinstance(value, list) else str(value)
 
 
 def _parse_code_file(text: str, g: Graph, how: str) -> list[int]:
@@ -120,7 +122,10 @@ def cmd_gen(args) -> int:
             f"vertex {n}+i is the matched partner of vertex i",
         )
         text = format_graph(g, legend)
-    _emit(text, args.output)
+    if args.output:
+        Path(args.output).write_text(text)
+    else:
+        sys.stdout.write(text)
     return 0
 
 
@@ -128,15 +133,10 @@ def cmd_verify(args) -> int:
     g = parse_graph(_read(args.graph))
     code = _parse_code_file(_read(args.code), g, args.code_format)
     report = is_identifying_code(g, args.d, code)
-    indexing = _prism_indexing(g)
-    if args.format == "json":
-        print(report.to_json(indexing))
-    elif report.valid:
-        print(f"valid: {len(set(code))} vertices identify the graph at radius {args.d}")
-    else:
-        f = report.failure
-        where = ", ".join(_label(v, indexing) for v in f.vertices)
-        print(f"invalid: {f.kind} at {where}")
+    _print(args, report.payload(_prism_indexing(g)), lambda p: [
+        f"valid: {len(set(code))} vertices identify the graph at radius {args.d}" if p["valid"]
+        else f"invalid: {p['failure']['kind']} at {_words(p['failure']['vertices'], ', ')}"
+    ])
     return 0 if report.valid else 1
 
 
@@ -161,39 +161,22 @@ def cmd_conditions(args) -> int:
     if code.n != args.n:
         raise GraphFormatError(f"code rows have length {code.n}, expected {args.n}")
     report = check_conditions(code)
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        for fam, idx in report.violations:
-            print(f"violated {fam} at {','.join(str(a + 1) for a in idx)}")
-        print(f"violations {len(report.violations)}")
-        print(f"bad_indices {_one_based(report.bad_indices)}")
-        print(f"blind_bar {_one_based(report.blind_bar)}")
+    _print(args, report.payload(), lambda p: [
+        *(f"violated {v['family']} at {_words(v['indices'], ',')}" for v in p["violations"]),
+        f"violations {len(p['violations'])}",
+        *(f"{key} {_words(p[key], ',') or '-'}" for key in ("bad_indices", "blind_bar")),
+    ])
     return 0 if report.ok else 1
-
-
-def _one_based(positions) -> str:
-    return ",".join(str(a + 1) for a in sorted(positions)) or "-"
 
 
 def cmd_solve(args) -> int:
     g = parse_graph(_read(args.graph))
-    opts = SolverOptions(strategy=args.strategy, size_cap=args.cap)
+    opts = SolverOptions(strategy=args.strategy, size_cap=args.cap)  # a bad --cap exits before the export
     if args.export_instance:
         Path(args.export_instance).write_text(format_hitting_instance(hitting_instance(g, args.d)))
     res = solve_min_idcode(g, args.d, opts)
-    indexing = _prism_indexing(g)
-    if args.format == "json":
-        print(res.to_json(indexing))
-    else:
-        print(f"status {res.status}")
-        if res.size is not None:
-            print(f"size {res.size}")
-        if res.code is not None:
-            print("code " + " ".join(_label(v, indexing) for v in res.code))
-        if res.witness is not None:
-            print("witness " + " ".join(_label(v, indexing) for v in res.witness))
-        print(f"nodes {res.nodes}")
+    # the text form is every field but the wall clock, in payload order
+    _print(args, res.payload(_prism_indexing(g)), lambda p: [f"{k} {_words(v, ' ')}" for k, v in p.items() if k != "ms"])
     return 2 if res.status == "infeasible" else 0
 
 
@@ -201,14 +184,8 @@ def cmd_twins(args) -> int:
     g = parse_graph(_read(args.graph))
     pairs = closed_twins(g, args.d)
     indexing = _prism_indexing(g)
-    if args.format == "json":
-        print(json.dumps({
-            "twins": [[vertex_label(u, indexing), vertex_label(v, indexing)] for u, v in pairs],
-        }))
-    else:
-        for u, v in pairs:
-            print(f"twin {_label(u, indexing)} {_label(v, indexing)}")
-        print(f"count {len(pairs)}")
+    payload = {"twins": [[vertex_label(u, indexing), vertex_label(v, indexing)] for u, v in pairs]}
+    _print(args, payload, lambda p: [*(f"twin {u} {v}" for u, v in p["twins"]), f"count {len(p['twins'])}"])
     return 2 if pairs else 0
 
 
@@ -221,59 +198,37 @@ def cmd_cwcheck(args) -> int:
         fixed = parse_graph(_read(args.target))
     elif not 1 <= int(args.target) <= MAX_ORDER:
         raise GraphFormatError(f"order bound must be between 1 and {MAX_ORDER}")
-    rows = []
+    trials = []
     for trial in range(args.trials):
-        if fixed is not None:
-            g = fixed
-        else:
-            g = random_graph(rng.randint(1, int(args.target)), rng)
-        tree = random_layout_tree(g.order, rng)
-        rows.append((trial, g.order, check_doubling(g, tree)))
-    bad = [row for row in rows if not row[2].ok]
-    if args.format == "json":
-        print(json.dumps({
-            "trials": [
-                {"trial": t, "order": order, "base": c.base_max, "prism": c.prism_max, "ok": c.ok}
-                for t, order, c in rows
-            ],
-            "ok": not bad,
-        }))
-    else:
-        for t, order, c in rows:
-            print(f"trial {t} order {order} base {c.base_max} prism {c.prism_max} {'ok' if c.ok else 'VIOLATION'}")
-        print(f"checked {len(rows)} violations {len(bad)}")
-    return 0 if not bad else 1
+        g = fixed if fixed is not None else random_graph(rng.randint(1, int(args.target)), rng)
+        c = check_doubling(g, random_layout_tree(g.order, rng))
+        trials.append({"trial": trial, "order": g.order, "base": c.base_max, "prism": c.prism_max, "ok": c.ok})
+    ok = all(t["ok"] for t in trials)
+    _print(args, {"trials": trials, "ok": ok}, lambda p: [
+        *(" ".join(f"{k} {v}" for k, v in t.items() if k != "ok") + (" ok" if t["ok"] else " VIOLATION") for t in p["trials"]),
+        f"checked {len(p['trials'])} violations {sum(not t['ok'] for t in p['trials'])}",
+    ])
+    return 0 if ok else 1
 
 
 def cmd_scan(args) -> int:
     if args.start < 3 or args.stop < args.start:
         raise GraphFormatError("need 3 <= start <= stop")
     _require_prism_order("scan stop", args.stop)
-    rows = ic_table(range(args.start, args.stop + 1), args.d, SolverOptions(args.strategy, args.cap))
-    if args.format == "json":
-        payload = []
-        for r in rows:
-            indexing = PrismIndexing(r.n)
-            payload.append({
-                "n": r.n, "status": r.status, "size": r.size,
-                "code": None if r.code is None else [vertex_label(v, indexing) for v in r.code],
-                "witness": None if r.witness is None else [vertex_label(v, indexing) for v in r.witness],
-                "lower": r.lower, "upper": r.upper, "pattern": r.pattern_size,
-            })
-        print(json.dumps(payload))
-    else:
-        for r in rows:
-            indexing = PrismIndexing(r.n)
-            cells = [f"n {r.n}", f"status {r.status}"]
-            if r.size is not None:
-                cells.append(f"size {r.size}")
-            if r.lower is not None:
-                cells += [f"lower {r.lower}", f"upper {r.upper}", f"pattern {r.pattern_size}"]
-            if r.code is not None:
-                cells.append("code " + ",".join(_label(v, indexing) for v in r.code))
-            if r.witness is not None:
-                cells.append("witness " + ",".join(_label(v, indexing) for v in r.witness))
-            print("  ".join(cells))
+    payload = []
+    for r in ic_table(range(args.start, args.stop + 1), args.d, SolverOptions(args.strategy, args.cap)):
+        indexing = PrismIndexing(r.n)
+        payload.append({
+            "n": r.n, "status": r.status, "size": r.size,
+            "code": None if r.code is None else [vertex_label(v, indexing) for v in r.code],
+            "witness": None if r.witness is None else [vertex_label(v, indexing) for v in r.witness],
+            "lower": r.lower, "upper": r.upper, "pattern": r.pattern_size,
+        })
+    # the text form puts the bounds before the vertex lists and leaves out empty cells
+    _print(args, payload, lambda p: ["  ".join(
+        f"{k} {_words(row[k], ',')}" for k in ("n", "status", "size", "lower", "upper", "pattern", "code", "witness")
+        if row[k] is not None
+    ) for row in p])
     return 0
 
 
@@ -317,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="exact minimum identifying code of a graph file")
     p.add_argument("graph")
     p.add_argument("-d", type=int, default=1)
-    p.add_argument("--strategy", choices=("exhaustive", "bnb"), default="bnb")
+    p.add_argument("--strategy", choices=STRATEGIES, default="bnb")
     p.add_argument("--cap", type=int, default=None, help="certify optimum or prove it exceeds this size")
     p.add_argument("--export-instance", metavar="FILE", help="also write the hitting-set instance")
     _add_format_flags(p)
@@ -340,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("start", type=int)
     p.add_argument("stop", type=int)
     p.add_argument("-d", type=int, default=1)
-    p.add_argument("--strategy", choices=("exhaustive", "bnb"), default="bnb")
+    p.add_argument("--strategy", choices=STRATEGIES, default="bnb")
     p.add_argument("--cap", type=int, default=None, help="certify each optimum or prove it exceeds this size")
     _add_format_flags(p)
     p.set_defaults(func=cmd_scan)

@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-import json
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .graphs import Graph, ball_table, bits, complementary_prism, cycle
@@ -143,9 +142,9 @@ class ConditionReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """JSON with 1-based positions, matching the CLI convention."""
-        payload = {
+    def payload(self) -> dict:
+        """The JSON object of the report, with 1-based positions, matching the CLI convention."""
+        return {
             "ok": self.ok,
             "violations": [
                 {"family": fam, "indices": [a + 1 for a in idx]} for fam, idx in self.violations
@@ -153,7 +152,6 @@ class ConditionReport:
             "bad_indices": sorted(a + 1 for a in self.bad_indices),
             "blind_bar": sorted(a + 1 for a in self.blind_bar),
         }
-        return json.dumps(payload, indent=indent)
 
 
 def _require_scope(n: int) -> None:

@@ -46,15 +46,12 @@ class Graph:
         bad = order
         if rows and not 0 <= min(rows) <= max(rows) <= full:
             bad = next(u for u, row in enumerate(rows) if not 0 <= row <= full)
-        # Those rows, packed little-endian and unpacked into a 0/1 matrix
-        # (bit v of row u at [u, v]), carry the self-loops on its diagonal
-        # and, when every row is in range, equal its transpose.  That costs
-        # order^2 / 8 bytes of numpy work instead of one interpreted step
-        # per row or edge.  The first offending row is reported: a
-        # self-loop above row bad, else row bad's range error.
-        size = (order + 7) // 8
-        packed = np.frombuffer(b"".join([row.to_bytes(size, "little") for row in rows[:bad]]), np.uint8)
-        matrix = np.unpackbits(packed.reshape(bad, size), axis=1, count=order, bitorder="little")
+        # Those rows' bit_matrix carries the self-loops on its diagonal and,
+        # when every row is in range, equals its transpose: order^2 / 8 bytes
+        # of numpy work instead of one interpreted step per row or edge.  The
+        # first offending row is reported: a self-loop above row bad, else
+        # row bad's range error.
+        matrix = bit_matrix(rows[:bad], order)
         if np.count_nonzero(matrix.diagonal()):
             raise ValueError(f"self-loop at vertex {np.flatnonzero(matrix.diagonal())[0]}")
         if bad < order:
@@ -119,6 +116,13 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def bit_matrix(rows: Sequence[int], width: int) -> np.ndarray:
+    """Nonnegative int bitsets below 2**width as a 0/1 uint8 matrix, bit v of row u at [u, v]."""
+    size = (width + 7) // 8
+    packed = np.frombuffer(b"".join([row.to_bytes(size, "little") for row in rows]), np.uint8)
+    return np.unpackbits(packed.reshape(len(rows), size), axis=1, count=width, bitorder="little")
 
 
 def mask_of(vertices: Iterable[int]) -> int:

@@ -18,13 +18,12 @@ solver both use it; the condition system has its own kernel in cycleprism.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .graphs import Graph, PrismIndexing, ball_table, mask_of
+from .graphs import Graph, PrismIndexing, ball_table, bit_matrix, mask_of
 
 # Constraints per transpose in _incidence, whole 64-bit words: a chunk's
 # 0/1 matrix takes _CHUNK bytes per vertex of the universe.
@@ -52,14 +51,14 @@ class VerificationReport:
     valid: bool
     failure: Optional[VerificationFailure] = None
 
-    def to_json(self, indexing: Optional[PrismIndexing] = None, indent: Optional[int] = None) -> str:
+    def payload(self, indexing: Optional[PrismIndexing] = None) -> dict:
         payload: dict = {"valid": self.valid}
         if self.failure is not None:
             payload["failure"] = {
                 "kind": self.failure.kind,
                 "vertices": [vertex_label(v, indexing) for v in self.failure.vertices],
             }
-        return json.dumps(payload, indent=indent)
+        return payload
 
 
 def vertex_label(v: int, indexing: Optional[PrismIndexing] = None) -> Union[str, int]:
@@ -172,15 +171,12 @@ class HitTables:
 def _incidence(universe: int, constraints: Sequence[int]) -> np.ndarray:
     """Row v: the uint8 little-endian bitset of the constraints holding v, in whole words.
 
-    One transpose, as `Graph` checks symmetry: the constraints, unpacked
-    into a constraints x universe 0/1 matrix, are transposed and packed.
+    One transpose, as `Graph` checks symmetry: the constraints' `bit_matrix`
+    is transposed and packed.
     """
-    size = (universe + 7) // 8
     rows = np.zeros((universe, (len(constraints) + 63) // 64 * 8), dtype=np.uint8)
     for start in range(0, len(constraints), _CHUNK):
-        part = constraints[start:start + _CHUNK]
-        packed = np.frombuffer(b"".join([c.to_bytes(size, "little") for c in part]), np.uint8)
-        matrix = np.unpackbits(packed.reshape(len(part), size), axis=1, count=universe, bitorder="little")
+        matrix = bit_matrix(constraints[start:start + _CHUNK], universe)
         columns = np.packbits(matrix.T, axis=1, bitorder="little")
         rows[:, start // 8:start // 8 + columns.shape[1]] = columns
     return rows

@@ -37,7 +37,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .graphs import Graph, GraphFormatError, bits
+from .graphs import MAX_ORDER, Graph, GraphFormatError, bits
 
 
 class LayoutTree:
@@ -123,13 +123,16 @@ def parse_layout(text: str) -> LayoutTree:
 
     One shift-reduce pass: labels, '(' and ',' are pushed, and each ')'
     reduces the top four entries, '(' left ',' right, to one node.  Error
-    offsets count the text with its whitespace removed.
+    offsets count the text with its whitespace removed.  Labels above MAX_ORDER are refused.
     """
     stack: list = []  # '(' and ',' as strings, finished subtrees as LayoutTree
     for token in re.finditer(r"\d+|\D", "".join(text.split())):  # a label, or one other character
         item = token.group()
         if item.isdecimal():
-            label = int(item)
+            digits = item.lstrip("0") or "0"  # counted first: int() refuses over 4,300 digits
+            if len(digits) > len(str(MAX_ORDER)) or int(digits) > MAX_ORDER:
+                raise GraphFormatError(f"leaf label at offset {token.start()} is above the limit of {MAX_ORDER}")
+            label = int(digits)
             if label < 1:
                 raise GraphFormatError("leaf labels are 1-based")
             stack.append(LayoutTree.leaf(label - 1))

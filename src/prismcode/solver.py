@@ -22,10 +22,9 @@ C_15 (order 30, 108M subsets) about 2.5 s on a 2-core Xeon host.
 The branch-and-bound strategy runs one search, `_search`, that orders
 hitting sets by size and breaks ties lexicographically, so it returns
 that same code; its node count covers all of its work.  Each node makes
-one pass over its unhit constraints: a constraint with no allowed vertex
-left prunes the node, a greedy packing of pairwise-disjoint live parts
-(the allowed vertices of each constraint) bounds the vertices still
-needed, and the first narrowest live part is the one branched on.
+one pass over its unhit constraints: a greedy packing of pairwise-disjoint
+live parts (the allowed vertices of each constraint) bounds the vertices
+still needed, and the first narrowest live part is the one branched on.
 
 On the prism of C_n with n >= 9 at d = 1, the branch-and-bound strategy
 first takes two closed forms from `cycleprism`: `condition_floor` is the
@@ -50,7 +49,6 @@ runs on everything except wall-clock time.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -95,7 +93,7 @@ class SolverResult:
     nodes: int = 0
     elapsed: float = 0.0
 
-    def to_json(self, indexing: Optional[PrismIndexing] = None, indent: Optional[int] = None) -> str:
+    def payload(self, indexing: Optional[PrismIndexing] = None) -> dict:
         payload: dict = {"status": self.status}
         if self.size is not None:
             payload["size"] = self.size
@@ -105,7 +103,7 @@ class SolverResult:
             payload["witness"] = [vertex_label(v, indexing) for v in self.witness]
         payload["nodes"] = self.nodes
         payload["ms"] = round(self.elapsed * 1000.0, 3)
-        return json.dumps(payload, indent=indent)
+        return payload
 
 
 def solve_min_idcode(g: Graph, d: int, options: Optional[SolverOptions] = None) -> SolverResult:
@@ -232,14 +230,17 @@ def _search(
 
     Sets compare by size, then by the lowest vertex where they differ: the
     set holding it sorts first.  best = (size, None) is a bare bound that
-    only a strictly smaller set replaces.  One pass over unhit finds a dead
-    constraint (no vertex in allowed), the packing bound (pairwise-disjoint
-    live parts c & allowed each need a vertex of their own, since every
-    vertex added comes from allowed) and the first narrowest live part,
-    whose vertices are the children, lowest first.  floor is a lower
-    bound on every hitting set, so floor - size bounds the vertices still
-    needed as well; once floor reaches best's size only a tie can win, and
-    the tie test runs before the pass.
+    only a strictly smaller set replaces.  One pass over unhit finds the
+    packing bound (pairwise-disjoint live parts c & allowed each need a
+    vertex of their own, since every vertex added comes from allowed) and
+    the first narrowest live part P, whose vertices are the children,
+    lowest first.  No live part is ever empty: the root's constraints are
+    nonempty and every vertex is allowed, and a child's constraint with
+    no allowed vertex left would, at the parent, have had its live part
+    among P's vertices before the child's, so narrower than P.  floor is a
+    lower bound on every hitting set, so floor - size bounds the vertices
+    still needed as well; once floor reaches best's size only a tie can
+    win, and the tie test runs before the pass.
     """
     counter[0] += 1
     size = chosen.bit_count()
@@ -256,8 +257,6 @@ def _search(
     pick_width = allowed.bit_count() + 1
     for c in unhit:
         live = c & allowed
-        if not live:
-            return best
         if not live & used:
             lb += 1
             used |= live

@@ -7,7 +7,6 @@ from BFS balls.  The weak bar-pair instances (offset n-2) are only
 implied by separation, and the test pins down exactly that asymmetry.
 """
 
-import json
 import math
 import random
 from fractions import Fraction
@@ -295,11 +294,11 @@ def test_verify_code_fallback_branch():
 
 def test_condition_report_json():
     report = check_conditions(CodePair.from_strings("101010101\n010101010"))
-    payload = json.loads(report.to_json())
+    payload = report.payload()
     assert payload["ok"] is False
     assert payload["violations"][0] == {"family": SEP_ADJACENT, "indices": [9, 1]}
     assert payload["blind_bar"] == [2, 4, 6, 8]
-    clean = json.loads(check_conditions(pattern_code(9)).to_json())
+    clean = check_conditions(pattern_code(9)).payload()
     assert clean == {"ok": True, "violations": [], "bad_indices": [4, 9], "blind_bar": []}
 
 
@@ -332,7 +331,7 @@ def test_check_conditions_equals_mask_reference():
         got, want = check_conditions(code), reference_report(code)
         assert got.violations == want.violations, code
         assert got.bad_indices == want.bad_indices and got.blind_bar == want.blind_bar, code
-        assert got.to_json() == want.to_json(), code
+        assert got.payload() == want.payload(), code
 
 
 # ------------------------------------------------------------------ exchange

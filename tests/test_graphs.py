@@ -12,6 +12,7 @@ from prismcode.graphs import (
     GraphFormatError,
     PrismIndexing,
     ball_table,
+    bit_matrix,
     bits,
     closed_twins,
     complement,
@@ -99,6 +100,16 @@ def test_graph_validation():
     for order in (2, 7, 8, 9, 63, 64, 65, 200):
         g = random_graph(order, rng)
         assert type(g.edge_count) is int and g.edge_count == len(list(g.edges()))
+
+
+def test_bit_matrix_places_bit_v_of_row_u_at_u_v():
+    rng = random.Random(19)
+    for width in (0, 1, 7, 8, 9, 64, 65):
+        rows = [rng.getrandbits(width) if width else 0 for _ in range(5)] + [(1 << width) - 1]
+        matrix = bit_matrix(rows, width)
+        assert matrix.shape == (6, width) and matrix.dtype == "uint8"
+        assert matrix.tolist() == [[row >> v & 1 for v in range(width)] for row in rows]
+    assert bit_matrix([], 9).shape == (0, 9)
 
 
 def test_complement_triangle_and_involution():

@@ -1,6 +1,5 @@
 """Definitional verifier, hitting-set reduction, and greedy, against set oracles."""
 
-import json
 import random
 from itertools import combinations
 
@@ -318,11 +317,11 @@ def test_greedy_code_equals_recounting_reference():
 def test_report_json_shapes():
     g = complementary_prism(cycle(9))
     ix = PrismIndexing(9)
-    ok = json.loads(is_identifying_code(g, 1, pattern_code(9).vertices()).to_json(ix))
+    ok = is_identifying_code(g, 1, pattern_code(9).vertices()).payload(ix)
     assert ok == {"valid": True}
-    bad = json.loads(is_identifying_code(g, 1, ()).to_json(ix))
+    bad = is_identifying_code(g, 1, ()).payload(ix)
     assert bad == {"valid": False, "failure": {"kind": "empty-ball", "vertices": ["v1"]}}
-    plain = json.loads(is_identifying_code(cycle(4), 1, ()).to_json())
+    plain = is_identifying_code(cycle(4), 1, ()).payload()
     assert plain["failure"]["vertices"] == [1]
     assert vertex_label(15, ix) == "vbar7" and vertex_label(15) == 16
 

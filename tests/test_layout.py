@@ -1,11 +1,12 @@
 """Layout trees, class counting, and the prism doubling bound."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prismcode.graphs import GraphFormatError, complementary_prism, cycle, random_graph, Graph
+from prismcode.graphs import MAX_ORDER, GraphFormatError, complementary_prism, cycle, random_graph, Graph
 from prismcode.layout import (
     DoublingCheck,
     LayoutTree,
@@ -39,6 +40,18 @@ def test_parse_errors():
     for bad in bad_texts:
         with pytest.raises(GraphFormatError):
             parse_layout(bad)
+
+
+def test_parse_refuses_labels_above_max_order():
+    # A label L would build an L-bit leaf mask, and int() refuses a text of
+    # over 4,300 digits with a plain ValueError; both are refused up front.
+    for text in ("(1,100000000)", "(1," + "7" * 5000 + ")", f"(1,{MAX_ORDER + 1})"):
+        start = time.perf_counter()
+        with pytest.raises(GraphFormatError, match=f"above the limit of {MAX_ORDER}"):
+            parse_layout(text)
+        assert time.perf_counter() - start < 0.01, text[:20]
+    assert parse_layout(f"(1,{MAX_ORDER})").leaf_mask == 1 | 1 << MAX_ORDER - 1
+    assert parse_layout("(" + "0" * 5000 + "1,2)") == parse_layout("(1,2)")  # leading zeros count for nothing
 
 
 @settings(max_examples=80, deadline=None)

@@ -208,14 +208,14 @@ def test_options_validation():
 def test_result_json_shapes():
     g = complementary_prism(cycle(9))
     res = solve_min_idcode(g, 1, BNB)
-    payload = json.loads(res.to_json())
+    payload = res.payload()
     assert payload["status"] == "optimal" and payload["size"] == 7
     assert payload["code"] == [1, 2, 3, 6, 14, 15, 17]  # plain 1-based without indexing
-    assert set(payload) == {"status", "size", "code", "nodes", "ms"}
+    assert list(payload) == ["status", "size", "code", "nodes", "ms"]
     infeasible = solve_min_idcode(complementary_prism(cycle(6)), 2, BNB)
-    bad = json.loads(infeasible.to_json())
+    bad = infeasible.payload()
     assert bad["status"] == "infeasible" and bad["witness"] == [7, 8]
-    capped = json.loads(solve_min_idcode(g, 1, SolverOptions(size_cap=3)).to_json())
+    capped = solve_min_idcode(g, 1, SolverOptions(size_cap=3)).payload()
     assert capped["status"] == "cap-exceeded" and "code" not in capped
 
 
@@ -299,6 +299,31 @@ def test_strategies_agree_at_every_cap_on_fallback_prisms():
             a = solve_min_idcode(g, 1, SolverOptions(strategy="exhaustive", size_cap=cap))
             b = solve_min_idcode(g, 1, SolverOptions(strategy="bnb", size_cap=cap))
             assert (a.status, a.size, a.code) == (b.status, b.size, b.code), (n, cap)
+
+
+def test_search_never_meets_a_constraint_without_an_allowed_vertex(monkeypatch):
+    # _search has no dead-constraint test: its docstring proves every unhit
+    # constraint keeps an allowed vertex.  The recursion looks _search up in
+    # the module, so the wrapper sees every node.
+    search, calls = solver._search, [0]
+
+    def checked(unhit, chosen, allowed, *rest):
+        calls[0] += 1
+        assert all(c & allowed for c in unhit), (unhit, chosen, allowed)
+        return search(unhit, chosen, allowed, *rest)
+
+    monkeypatch.setattr(solver, "_search", checked)
+    for n, nodes in {9: 114, 10: 118, 12: 126}.items():
+        res = solve_min_idcode(complementary_prism(cycle(n)), 1)
+        assert (res.size, res.nodes) == (condition_floor(n), nodes), n
+    assert calls[0] == 114 + 118 + 126
+    rng = random.Random(19)
+    for i in range(60):
+        g = random_graph(rng.randint(2, 13), rng, (0.2, 0.5, 0.8)[i % 3])
+        for d in (1, 2):
+            if hitting_instance(g, d).feasible:
+                res = solve_min_idcode(g, d)
+                assert res.code == solve_min_idcode(g, d, EXH).code, (g, d)
 
 
 def test_transfer_route_cap_below_floor():
