@@ -53,7 +53,6 @@ from .layout import (
     random_layout_tree,
 )
 from .solver import (
-    IcRow,
     SolverOptions,
     SolverResult,
     format_hitting_instance,

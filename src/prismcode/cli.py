@@ -64,7 +64,7 @@ def _prism_indexing(g: Graph) -> Optional[PrismIndexing]:
 
 def _print(args, payload, text: Callable[[Any], Iterable[str]]) -> None:
     """Print payload as one JSON line under --json, else the lines text(payload) renders."""
-    if args.format == "json":
+    if args.json:
         print(json.dumps(payload))
     else:
         print("\n".join(text(payload)))
@@ -92,7 +92,7 @@ def _parse_code_file(text: str, g: Graph, how: str) -> list[int]:
     indexing = _prism_indexing(g)
     out = []
     for token in text.split():
-        if token.isdigit():
+        if token.isdecimal():
             v = int(token) - 1
             if not 0 <= v < g.order:
                 raise GraphFormatError(f"vertex {token} outside 1..{g.order}")
@@ -194,7 +194,7 @@ def cmd_cwcheck(args) -> int:
         raise ValueError("--trials must be positive")
     rng = random.Random(args.seed)
     fixed = None
-    if not args.target.isdigit():
+    if not args.target.isdecimal():
         fixed = parse_graph(_read(args.target))
     elif not 1 <= int(args.target) <= MAX_ORDER:
         raise GraphFormatError(f"order bound must be between 1 and {MAX_ORDER}")
@@ -215,17 +215,9 @@ def cmd_scan(args) -> int:
     if args.start < 3 or args.stop < args.start:
         raise GraphFormatError("need 3 <= start <= stop")
     _require_prism_order("scan stop", args.stop)
-    payload = []
-    for r in ic_table(range(args.start, args.stop + 1), args.d, SolverOptions(args.strategy, args.cap)):
-        indexing = PrismIndexing(r.n)
-        payload.append({
-            "n": r.n, "status": r.status, "size": r.size,
-            "code": None if r.code is None else [vertex_label(v, indexing) for v in r.code],
-            "witness": None if r.witness is None else [vertex_label(v, indexing) for v in r.witness],
-            "lower": r.lower, "upper": r.upper, "pattern": r.pattern_size,
-        })
+    rows = ic_table(range(args.start, args.stop + 1), args.d, SolverOptions(args.strategy, args.cap))
     # the text form puts the bounds before the vertex lists and leaves out empty cells
-    _print(args, payload, lambda p: ["  ".join(
+    _print(args, rows, lambda p: ["  ".join(
         f"{k} {_words(row[k], ',')}" for k in ("n", "status", "size", "lower", "upper", "pattern", "code", "witness")
         if row[k] is not None
     ) for row in p])
@@ -234,10 +226,8 @@ def cmd_scan(args) -> int:
 
 # -------------------------------------------------------------------- parser
 
-def _add_format_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("text", "json"), default="text", help="output format")
-    p.add_argument("--json", dest="format", action="store_const", const="json",
-                   help="shorthand for --format json")
+def _add_json_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--json", action="store_true", help="print the result as one JSON object")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -255,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("code")
     p.add_argument("-d", type=int, default=1, help="identification radius (default 1)")
     p.add_argument("--code-format", choices=("auto", "bits", "list"), default="auto")
-    _add_format_flags(p)
+    _add_json_flag(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("pattern", help="print the periodic code of size n - 2*floor(n/9)")
@@ -266,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conditions", help="evaluate the position conditions on a two-row code")
     p.add_argument("n", type=int)
     p.add_argument("code")
-    _add_format_flags(p)
+    _add_json_flag(p)
     p.set_defaults(func=cmd_conditions)
 
     p = sub.add_parser("solve", help="exact minimum identifying code of a graph file")
@@ -275,20 +265,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=STRATEGIES, default="bnb")
     p.add_argument("--cap", type=int, default=None, help="certify optimum or prove it exceeds this size")
     p.add_argument("--export-instance", metavar="FILE", help="also write the hitting-set instance")
-    _add_format_flags(p)
+    _add_json_flag(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("twins", help="list pairs with identical distance-d balls")
     p.add_argument("graph")
     p.add_argument("-d", type=int, default=1)
-    _add_format_flags(p)
+    _add_json_flag(p)
     p.set_defaults(func=cmd_twins)
 
     p = sub.add_parser("cwcheck", help="randomized class-count doubling checks")
     p.add_argument("target", help="max random order (int) or a graph file")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    _add_format_flags(p)
+    _add_json_flag(p)
     p.set_defaults(func=cmd_cwcheck)
 
     p = sub.add_parser("scan", help="bounds and exact optimum for a range of cycle prisms")
@@ -297,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-d", type=int, default=1)
     p.add_argument("--strategy", choices=STRATEGIES, default="bnb")
     p.add_argument("--cap", type=int, default=None, help="certify each optimum or prove it exceeds this size")
-    _add_format_flags(p)
+    _add_json_flag(p)
     p.set_defaults(func=cmd_scan)
 
     return parser

@@ -187,7 +187,7 @@ class PrismIndexing:
         s = text.strip()
         bar = s.startswith("vbar")
         digits = s[4:] if bar else s[1:] if s.startswith("v") else None
-        if digits is None or not digits.isdigit():
+        if digits is None or not digits.isdecimal():
             raise GraphFormatError(f"bad vertex label {text!r}")
         i = int(digits)
         return self.bar_vertex(i) if bar else self.cycle_vertex(i)
@@ -282,7 +282,7 @@ def parse_graph(text: str) -> Graph:
         if fields[0] == "p":
             if order is not None:
                 raise GraphFormatError(f"line {lineno}: duplicate p line")
-            if len(fields) != 3 or not all(f.isdigit() for f in fields[1:]):
+            if len(fields) != 3 or not all(f.isdecimal() for f in fields[1:]):
                 raise GraphFormatError(f"line {lineno}: expected 'p <order> <edges>'")
             order, declared = int(fields[1]), int(fields[2])
             if order > MAX_ORDER:
@@ -290,7 +290,7 @@ def parse_graph(text: str) -> Graph:
         elif fields[0] == "e":
             if order is None:
                 raise GraphFormatError(f"line {lineno}: edge before p line")
-            if len(fields) != 3 or not all(f.isdigit() for f in fields[1:]):
+            if len(fields) != 3 or not all(f.isdecimal() for f in fields[1:]):
                 raise GraphFormatError(f"line {lineno}: expected 'e <u> <v>'")
             u, v = int(fields[1]), int(fields[2])
             if not (1 <= u <= order and 1 <= v <= order) or u == v:

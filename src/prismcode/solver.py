@@ -302,25 +302,16 @@ def _bnb(inst: HittingInstance, cap: Optional[int], floor: int, incumbent: Optio
 
 # -------------------------------------------------------------- table + export
 
-@dataclass(frozen=True)
-class IcRow:
-    n: int
-    status: str
-    size: Optional[int]
-    code: Optional[tuple[int, ...]]
-    witness: Optional[tuple[int, int]]
-    lower: Optional[int]
-    upper: Optional[int]
-    pattern_size: Optional[int]
+def ic_table(n_values: Iterable[int], d: int = 1, options: Optional[SolverOptions] = None) -> tuple[dict, ...]:
+    """The rows `prismcode scan` prints: solve the prism of C_n for each n.
 
-
-def ic_table(n_values: Iterable[int], d: int = 1, options: Optional[SolverOptions] = None) -> tuple[IcRow, ...]:
-    """Solve the prism of C_n for each n; attach certified bounds when they apply.
-
-    The options apply unchanged to every n, size cap included.  For d = 1
-    and n >= 9 an optimal size outside [lower_bound, exact upper bound]
-    would falsify the implementation, so it raises rather than returning
-    a row.
+    Each row holds n, then the status, size, code and witness of the
+    solve's payload (1-based prism labels), then the certified lower and
+    upper bounds and the pattern code's size; a value that does not
+    apply is None.  The options apply unchanged to every n, size cap
+    included.  For d = 1 and n >= 9 an optimal size outside
+    [lower_bound, exact upper bound] would falsify the implementation,
+    so it raises rather than returning a row.
     """
     opts = options or SolverOptions()
     rows = []
@@ -336,7 +327,11 @@ def ic_table(n_values: Iterable[int], d: int = 1, options: Optional[SolverOption
                 raise AssertionError(f"optimum {res.size} outside certified bounds at n={n}")
             if res.status == INFEASIBLE:
                 raise AssertionError(f"prism of C_{n} reported infeasible at d=1")
-        rows.append(IcRow(n, res.status, res.size, res.code, res.witness, lower, upper, psize))
+        payload = res.payload(PrismIndexing(n))
+        rows.append({
+            "n": n, **{k: payload.get(k) for k in ("status", "size", "code", "witness")},
+            "lower": lower, "upper": upper, "pattern": psize,
+        })
     return tuple(rows)
 
 

@@ -66,6 +66,9 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 64
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "9", "9", "--format", "json"])  # --json is the only output switch
+    assert exc.value.code == 64
 
 
 def test_pattern_output(capsys):
@@ -116,6 +119,23 @@ def test_verify_bad_graph(capsys, tmp_path, pattern9):
     bad.write_text("p 3\n")
     code, _, err = run(capsys, "verify", str(bad), pattern9)
     assert code == 64 and "error" in err
+
+
+def test_non_decimal_digits_get_the_parsers_messages(capsys, tmp_path, prism9, pattern9):
+    # "²" is a digit to str.isdigit but not to int(); each parser refuses it in its own words.
+    files = {}
+    for name, text in (("p", "p \u00b2 0\n"), ("e", "p 2 1\ne 1 \u00b2\n"), ("label", "v\u00b2\n"), ("id", "\u00b2\n")):
+        files[name] = tmp_path / f"{name}.txt"
+        files[name].write_text(text)
+    for graph, code_file, message in (
+        (files["p"], pattern9, "line 1: expected 'p <order> <edges>'"),
+        (files["e"], pattern9, "line 2: expected 'e <u> <v>'"),
+        (prism9, files["label"], "bad vertex label 'v\u00b2'"),
+        (prism9, files["id"], "bad vertex label '\u00b2'"),
+    ):
+        assert run(capsys, "verify", str(graph), str(code_file)) == (64, "", f"error: {message}\n")
+    code, out, err = run(capsys, "cwcheck", "\u00b2")  # not an order bound, so a graph file name
+    assert code == 64 and out == "" and "invalid literal" not in err
 
 
 def test_conditions_clean_and_violations(capsys, tmp_path, pattern9):
@@ -337,6 +357,21 @@ def test_scan_text_and_json(capsys):
     assert payload[0]["code"][0] == "v1"
     assert run(capsys, "scan", "2", "5")[0] == 64
     assert run(capsys, "scan", "9", "8")[0] == 64
+
+
+def test_scan_rows_agree_with_solve(capsys, tmp_path):
+    # scan's row and solve's payload for the same prism and options carry the
+    # same status, size, code and witness; a key solve leaves out reads as None.
+    for n in range(3, 13):
+        graph = str(tmp_path / f"p{n}.txt")
+        main(["gen", "prism", str(n), "-o", graph])
+        for options in ([], ["-d", "2"], ["--cap", "6"], ["--strategy", "exhaustive"]):
+            code, out, _ = run(capsys, "scan", str(n), str(n), "--json", *options)
+            assert code == 0
+            [row] = json.loads(out)
+            payload = json.loads(run(capsys, "solve", graph, "--json", *options)[1])
+            keys = ("status", "size", "code", "witness")
+            assert [row[k] for k in keys] == [payload.get(k) for k in keys], (n, options)
 
 
 def test_scan_order_limit_refused_before_solving(capsys):

@@ -10,14 +10,13 @@ import pytest
 
 from prismcode.graphs import (
     Graph,
-    PrismIndexing,
     complementary_prism,
     cycle,
     mask_of,
     random_graph,
 )
 from prismcode import solver
-from prismcode.idcode import HittingInstance, greedy_code, hitting_instance, is_identifying_code, vertex_label
+from prismcode.idcode import HittingInstance, greedy_code, hitting_instance, is_identifying_code
 from prismcode.solver import (
     CAP_EXCEEDED,
     INFEASIBLE,
@@ -221,12 +220,14 @@ def test_result_json_shapes():
 
 def test_ic_table_rows():
     rows = ic_table([3, 9], 1, BNB)
-    assert rows[0].n == 3 and rows[0].status == OPTIMAL and rows[0].size == 4
-    assert rows[0].lower is None and rows[0].upper is None
+    assert list(rows[0]) == ["n", "status", "size", "code", "witness", "lower", "upper", "pattern"]
+    assert rows[0]["n"] == 3 and rows[0]["status"] == OPTIMAL and rows[0]["size"] == 4
+    assert rows[0]["lower"] is None and rows[0]["upper"] is None
     nine = rows[1]
-    assert nine.size == 7 and nine.lower == -5 and nine.upper == 7 and nine.pattern_size == 7
+    assert list(nine) == list(rows[0])
+    assert nine["size"] == 7 and nine["lower"] == -5 and nine["upper"] == 7 and nine["pattern"] == 7
     infeasible = ic_table(range(6, 10), 2, BNB)
-    assert all(r.status == INFEASIBLE and r.witness is not None for r in infeasible)
+    assert all(r["status"] == INFEASIBLE and r["witness"] is not None for r in infeasible)
 
 
 def test_ic_table_matches_scan_reference():
@@ -234,9 +235,8 @@ def test_ic_table_matches_scan_reference():
     path = Path(__file__).parents[1] / "perfbench" / "scan_reference.json"
     reference = json.loads(path.read_text())
     for row in ic_table(range(9, 18)):
-        assert row.status == OPTIMAL and row.size == reference["optimum"][str(row.n)]
-        labels = [vertex_label(v, PrismIndexing(row.n)) for v in row.code]
-        assert labels == reference["lexmin_code"][str(row.n)], row.n
+        assert row["status"] == OPTIMAL and row["size"] == reference["optimum"][str(row["n"])]
+        assert row["code"] == reference["lexmin_code"][str(row["n"])], row["n"]
 
 
 def test_floor_applies_only_to_prisms_of_cycles_at_radius_1():
