@@ -27,6 +27,7 @@ from .graphs import (
     closed_twins,
     complementary_prism,
     cycle,
+    decimal_field,
     format_graph,
     parse_graph,
     random_graph,
@@ -93,8 +94,8 @@ def _parse_code_file(text: str, g: Graph, how: str) -> list[int]:
     out = []
     for token in text.split():
         if token.isdecimal():
-            v = int(token) - 1
-            if not 0 <= v < g.order:
+            v = (decimal_field(token, g.order) or 0) - 1  # -1 outside 1..order
+            if v < 0:
                 raise GraphFormatError(f"vertex {token} outside 1..{g.order}")
         elif indexing is not None:
             v = indexing.parse_label(token)
@@ -193,14 +194,13 @@ def cmd_cwcheck(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be positive")
     rng = random.Random(args.seed)
-    fixed = None
-    if not args.target.isdecimal():
-        fixed = parse_graph(_read(args.target))
-    elif not 1 <= int(args.target) <= MAX_ORDER:
+    fixed = None if args.target.isdecimal() else parse_graph(_read(args.target))
+    top = decimal_field(args.target, MAX_ORDER)
+    if fixed is None and not top:
         raise GraphFormatError(f"order bound must be between 1 and {MAX_ORDER}")
     trials = []
     for trial in range(args.trials):
-        g = fixed if fixed is not None else random_graph(rng.randint(1, int(args.target)), rng)
+        g = fixed if fixed is not None else random_graph(rng.randint(1, top), rng)
         c = check_doubling(g, random_layout_tree(g.order, rng))
         trials.append({"trial": trial, "order": g.order, "base": c.base_max, "prism": c.prism_max, "ok": c.ok})
     ok = all(t["ok"] for t in trials)
@@ -215,10 +215,9 @@ def cmd_scan(args) -> int:
     if args.start < 3 or args.stop < args.start:
         raise GraphFormatError("need 3 <= start <= stop")
     _require_prism_order("scan stop", args.stop)
-    rows = ic_table(range(args.start, args.stop + 1), args.d, SolverOptions(args.strategy, args.cap))
-    # the text form puts the bounds before the vertex lists and leaves out empty cells
-    _print(args, rows, lambda p: ["  ".join(
-        f"{k} {_words(row[k], ',')}" for k in ("n", "status", "size", "lower", "upper", "pattern", "code", "witness")
+    # the text form puts the bounds before the code and leaves out empty cells
+    _print(args, ic_table(range(args.start, args.stop + 1)), lambda p: ["  ".join(
+        f"{k} {_words(row[k], ',')}" for k in ("n", "status", "size", "lower", "upper", "pattern", "code")
         if row[k] is not None
     ) for row in p])
     return 0
@@ -281,12 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_json_flag(p)
     p.set_defaults(func=cmd_cwcheck)
 
-    p = sub.add_parser("scan", help="bounds and exact optimum for a range of cycle prisms")
+    p = sub.add_parser("scan", help="bounds and exact optimum at radius 1 for a range of cycle prisms")
     p.add_argument("start", type=int)
     p.add_argument("stop", type=int)
-    p.add_argument("-d", type=int, default=1)
-    p.add_argument("--strategy", choices=STRATEGIES, default="bnb")
-    p.add_argument("--cap", type=int, default=None, help="certify each optimum or prove it exceeds this size")
     _add_json_flag(p)
     p.set_defaults(func=cmd_scan)
 

@@ -27,6 +27,18 @@ class GraphFormatError(ValueError):
     """Raised when graph or code text input does not parse."""
 
 
+def decimal_field(field: str, bound: int) -> Optional[int]:
+    """The value of a decimal numeral field when it is at most bound, else None.
+
+    The digits are counted before int() reads them: int() refuses more than
+    4,300 digits, as str() does such a value, so messages quote the field.
+    """
+    digits = field.lstrip("0") or "0"
+    if field.isdecimal() and len(digits) <= len(str(bound)) and int(digits) <= bound:
+        return int(digits)
+    return None
+
+
 class Graph:
     """Immutable undirected simple graph with int-bitset adjacency rows.
 
@@ -186,10 +198,9 @@ class PrismIndexing:
     def parse_label(self, text: str) -> int:
         s = text.strip()
         bar = s.startswith("vbar")
-        digits = s[4:] if bar else s[1:] if s.startswith("v") else None
-        if digits is None or not digits.isdecimal():
+        i = decimal_field(s[4:] if bar else s[1:] if s.startswith("v") else "", self.n)
+        if not i:
             raise GraphFormatError(f"bad vertex label {text!r}")
-        i = int(digits)
         return self.bar_vertex(i) if bar else self.cycle_vertex(i)
 
     def _check(self, i: int) -> None:
@@ -272,7 +283,7 @@ def parse_graph(text: str) -> Graph:
     Orders above MAX_ORDER are refused at the p line.
     """
     order: Optional[int] = None
-    declared = 0
+    declared = "0"
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -284,23 +295,23 @@ def parse_graph(text: str) -> Graph:
                 raise GraphFormatError(f"line {lineno}: duplicate p line")
             if len(fields) != 3 or not all(f.isdecimal() for f in fields[1:]):
                 raise GraphFormatError(f"line {lineno}: expected 'p <order> <edges>'")
-            order, declared = int(fields[1]), int(fields[2])
-            if order > MAX_ORDER:
-                raise GraphFormatError(f"line {lineno}: order {order} exceeds the limit of {MAX_ORDER}")
+            order, declared = decimal_field(fields[1], MAX_ORDER), fields[2]
+            if order is None:
+                raise GraphFormatError(f"line {lineno}: order {fields[1]} exceeds the limit of {MAX_ORDER}")
         elif fields[0] == "e":
             if order is None:
                 raise GraphFormatError(f"line {lineno}: edge before p line")
             if len(fields) != 3 or not all(f.isdecimal() for f in fields[1:]):
                 raise GraphFormatError(f"line {lineno}: expected 'e <u> <v>'")
-            u, v = int(fields[1]), int(fields[2])
-            if not (1 <= u <= order and 1 <= v <= order) or u == v:
-                raise GraphFormatError(f"line {lineno}: bad edge {u} {v}")
+            u, v = decimal_field(fields[1], order), decimal_field(fields[2], order)
+            if not (u and v) or u == v:
+                raise GraphFormatError(f"line {lineno}: bad edge {fields[1]} {fields[2]}")
             edges.append((u - 1, v - 1))
         else:
             raise GraphFormatError(f"line {lineno}: unknown record {fields[0]!r}")
     if order is None:
         raise GraphFormatError("missing p line")
-    if len(edges) != declared:
+    if decimal_field(declared, len(edges)) != len(edges):
         raise GraphFormatError(f"p line declares {declared} edges, found {len(edges)}")
     g = Graph.from_edges(order, edges)
     if g.edge_count != len(edges):

@@ -37,7 +37,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .graphs import MAX_ORDER, Graph, GraphFormatError, bits
+from .graphs import MAX_ORDER, Graph, GraphFormatError, bits, decimal_field
 
 
 class LayoutTree:
@@ -129,10 +129,9 @@ def parse_layout(text: str) -> LayoutTree:
     for token in re.finditer(r"\d+|\D", "".join(text.split())):  # a label, or one other character
         item = token.group()
         if item.isdecimal():
-            digits = item.lstrip("0") or "0"  # counted first: int() refuses over 4,300 digits
-            if len(digits) > len(str(MAX_ORDER)) or int(digits) > MAX_ORDER:
+            label = decimal_field(item, MAX_ORDER)
+            if label is None:
                 raise GraphFormatError(f"leaf label at offset {token.start()} is above the limit of {MAX_ORDER}")
-            label = int(digits)
             if label < 1:
                 raise GraphFormatError("leaf labels are 1-based")
             stack.append(LayoutTree.leaf(label - 1))

@@ -302,36 +302,29 @@ def _bnb(inst: HittingInstance, cap: Optional[int], floor: int, incumbent: Optio
 
 # -------------------------------------------------------------- table + export
 
-def ic_table(n_values: Iterable[int], d: int = 1, options: Optional[SolverOptions] = None) -> tuple[dict, ...]:
-    """The rows `prismcode scan` prints: solve the prism of C_n for each n.
+def ic_table(n_values: Iterable[int]) -> tuple[dict, ...]:
+    """The rows `prismcode scan` prints: the prism of C_n at d = 1 for each n.
 
-    Each row holds n, then the status, size, code and witness of the
-    solve's payload (1-based prism labels), then the certified lower and
-    upper bounds and the pattern code's size; a value that does not
-    apply is None.  The options apply unchanged to every n, size cap
-    included.  For d = 1 and n >= 9 an optimal size outside
-    [lower_bound, exact upper bound] would falsify the implementation,
-    so it raises rather than returning a row.
+    Each row holds n, the status, size, code and witness of the default
+    solve's payload (1-based prism labels), the certified lower and upper
+    bounds and the pattern code's size, None where they do not apply.  The
+    witness is always None: no prism of C_n (n >= 3) has radius-1 twins.
+    N[v_i] holds exactly one bar vertex and three cycle vertices, N[vbar_i]
+    exactly one cycle vertex, so each closed neighbourhood differs from
+    every other one, on its own side by that single vertex and across sides
+    by the counts.  A row that is not optimal, or for n >= 9 an optimum
+    outside [lower_bound, exact upper bound], raises: it would falsify
+    the implementation.
     """
-    opts = options or SolverOptions()
     rows = []
     for n in n_values:
-        lower = upper = psize = None
-        if d == 1 and n >= 9:
-            lower = lower_bound(n)
-            upper = upper_bound(n)[0]
-            psize = pattern_code(n).size
-        res = solve_min_idcode(_prism(n), d, opts)
-        if upper is not None:
-            if res.status == OPTIMAL and not lower <= res.size <= upper:
-                raise AssertionError(f"optimum {res.size} outside certified bounds at n={n}")
-            if res.status == INFEASIBLE:
-                raise AssertionError(f"prism of C_{n} reported infeasible at d=1")
+        res = solve_min_idcode(_prism(n), 1)
+        lower, upper, psize = (lower_bound(n), upper_bound(n)[0], pattern_code(n).size) if n >= 9 else (None,) * 3
+        if res.status != OPTIMAL or lower is not None and not lower <= res.size <= upper:
+            raise AssertionError(f"prism of C_{n}: {res.status}, size {res.size}, certified bounds {lower}..{upper}")
         payload = res.payload(PrismIndexing(n))
-        rows.append({
-            "n": n, **{k: payload.get(k) for k in ("status", "size", "code", "witness")},
-            "lower": lower, "upper": upper, "pattern": psize,
-        })
+        rows.append({"n": n, **{k: payload.get(k) for k in ("status", "size", "code", "witness")},
+                     "lower": lower, "upper": upper, "pattern": psize})
     return tuple(rows)
 
 

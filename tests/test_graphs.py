@@ -25,6 +25,7 @@ from prismcode.graphs import (
 
 import bruteforce as bf
 from prismcode import graphs
+from prismcode.cycleprism import _prism
 
 
 def random_graphs(seed=4, count=12, max_order=9):
@@ -232,6 +233,13 @@ def test_closed_twins_cases():
     assert closed_twins(cycle(9), 1) == ()
     pairs = set(closed_twins(complementary_prism(cycle(6)), 2))
     assert {(6 + u, 6 + v) for u in range(6) for v in range(u + 1, 6)} <= pairs
+
+
+def test_prisms_of_cycles_have_no_radius_1_twins():
+    # The lemma behind every scan row being optimal: N[v_i] holds one bar
+    # vertex and three cycle vertices, N[vbar_i] one cycle vertex.
+    for n in [*range(3, 65), 512]:
+        assert closed_twins(_prism(n), 1) == (), n
 
 
 def test_twins_match_oracle():

@@ -219,15 +219,23 @@ def test_result_json_shapes():
 
 
 def test_ic_table_rows():
-    rows = ic_table([3, 9], 1, BNB)
+    rows = ic_table([3, 9])
     assert list(rows[0]) == ["n", "status", "size", "code", "witness", "lower", "upper", "pattern"]
     assert rows[0]["n"] == 3 and rows[0]["status"] == OPTIMAL and rows[0]["size"] == 4
     assert rows[0]["lower"] is None and rows[0]["upper"] is None
     nine = rows[1]
     assert list(nine) == list(rows[0])
     assert nine["size"] == 7 and nine["lower"] == -5 and nine["upper"] == 7 and nine["pattern"] == 7
-    infeasible = ic_table(range(6, 10), 2, BNB)
-    assert all(r["status"] == INFEASIBLE and r["witness"] is not None for r in infeasible)
+    assert rows[0]["witness"] is None and nine["witness"] is None
+
+
+def test_ic_table_refuses_rows_that_falsify_the_implementation(monkeypatch):
+    # Every prism of C_n has an optimal row, and from n = 9 on it lies within the certified bounds.
+    for n, fake in ((3, SolverResult(CAP_EXCEEDED)), (9, SolverResult(INFEASIBLE, witness=(9, 10))),
+                    (9, SolverResult(OPTIMAL, size=8, code=tuple(range(8))))):
+        monkeypatch.setattr(solver, "solve_min_idcode", lambda g, d: fake)
+        with pytest.raises(AssertionError, match=f"prism of C_{n}: {fake.status}"):
+            ic_table([n])
 
 
 def test_ic_table_matches_scan_reference():
@@ -270,8 +278,8 @@ def test_transfer_route_answers_prisms_of_cycles_without_search():
 
 def test_fallback_search_starts_from_the_pattern_code(monkeypatch):
     # At n = 9, 10 and 12 the pattern code already has the floor's size, so
-    # the search only looks for the lex-min tie, capped (as scan runs it)
-    # or not.  The greedy code is never built on this route.
+    # the search only looks for the lex-min tie, capped at the exact upper
+    # bound or not.  The greedy code is never built on this route.
     def no_greedy(inst):
         raise AssertionError("greedy_code called on the prism route")
 
