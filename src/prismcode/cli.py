@@ -131,6 +131,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.graph == args.code == "-":  # the code would read the stdin the graph emptied
+        raise GraphFormatError("verify reads at most one of the graph and the code from stdin")
     g = parse_graph(_read(args.graph))
     code = _parse_code_file(_read(args.code), g, args.code_format)
     report = is_identifying_code(g, args.d, code)

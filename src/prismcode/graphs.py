@@ -42,7 +42,7 @@ def decimal_field(field: str, bound: int) -> Optional[int]:
 class Graph:
     """Immutable undirected simple graph with int-bitset adjacency rows.
 
-    ball_table caches each radius's (balls, settled) pair in _balls.
+    ball_table keeps each radius asked, and its balls, in _balls.
     """
 
     __slots__ = ("order", "adj", "_edge_count", "_balls")
@@ -184,16 +184,15 @@ class PrismIndexing:
         return self.n + i - 1
 
     def is_bar(self, v: int) -> bool:
-        if not 0 <= v < 2 * self.n:
-            raise ValueError(f"vertex {v} outside prism of order {2 * self.n}")
-        return v >= self.n
+        return self._vertex(v)[0]
 
     def position(self, v: int) -> int:
         """1-based cycle position shared by a vertex and its bar partner."""
-        return v % self.n + 1 if 0 <= v < 2 * self.n else self._bad(v)
+        return self._vertex(v)[1]
 
     def label(self, v: int) -> str:
-        return ("vbar" if self.is_bar(v) else "v") + str(self.position(v))
+        bar, i = self._vertex(v)
+        return ("vbar" if bar else "v") + str(i)
 
     def parse_label(self, text: str) -> int:
         s = text.strip()
@@ -207,36 +206,42 @@ class PrismIndexing:
         if not 1 <= i <= self.n:
             raise ValueError(f"index {i} outside 1..{self.n}")
 
-    def _bad(self, v: int):
-        raise ValueError(f"vertex {v} outside prism of order {2 * self.n}")
+    def _vertex(self, v: int) -> tuple[bool, int]:
+        """Whether prism vertex v is on the bar side, and its position."""
+        if not 0 <= v < 2 * self.n:
+            raise ValueError(f"vertex {v} outside prism of order {2 * self.n}")
+        return v >= self.n, v % self.n + 1
 
 
 def ball_table(g: Graph, d: int) -> tuple[int, ...]:
     """Closed distance-d balls of every vertex, as bitsets; requires d >= 1.
 
-    Each round of neighborhood expansion grows every ball by one step.
-    A round that changes no ball changes none later either: the balls
-    have settled, after at most g.order rounds whatever d is.  The balls
-    are kept on the graph per radius, settled ones also at the radius
-    where they settled; a new radius resumes from the largest one kept
-    below it, with no round at all from settled balls.
+    The balls start as the closed rows, and each round replaces a vertex's
+    ball by the union of its closed neighbours' balls, the ball one radius
+    larger.  A round costs one int OR per closed neighbour, whatever the
+    size of the balls.  Rounds stop at radius d, or at the first round
+    that changes no ball: each round's balls are a function of the last
+    round's, so none changes later either, after at most g.order rounds
+    whatever d is.  The balls are kept on the graph, one tuple per radius
+    asked.
     """
     if d < 1:
         raise ValueError("radius must be at least 1")
     if d not in g._balls:
-        r = max((k for k in g._balls if k < d), default=1)
-        balls, settled = g._balls.get(r) or (tuple(g.closed_row(u) for u in range(g.order)), False)
-        while r < d and not settled:
-            grown = tuple(_expand(g, ball) for ball in balls)
-            balls, settled, r = grown, grown == balls, r + 1
-        g._balls[d] = g._balls[r] = balls, settled
-    return g._balls[d][0]
+        balls, last, r = tuple(map(g.closed_row, range(g.order))), None, 1
+        # Closed neighbourhoods as index arrays, built only when a round runs;
+        # a memoryview yields plain ints and keeps 8 bytes an entry.
+        closed = [memoryview(np.flatnonzero(row)) for row in bit_matrix(balls, g.order)] if d > 1 else []
+        while r < d and balls != last:
+            balls, last, r = tuple(_union(balls, members) for members in closed), balls, r + 1
+        g._balls[d] = balls
+    return g._balls[d]
 
 
-def _expand(g: Graph, ball: int) -> int:
-    out = ball
-    for v in bits(ball):
-        out |= g.adj[v]
+def _union(balls: tuple[int, ...], members: Iterable[int]) -> int:
+    out = 0
+    for v in members:
+        out |= balls[v]
     return out
 
 

@@ -1,6 +1,7 @@
 """Command line behavior: formats, exit codes, determinism."""
 
 import hashlib
+import io
 import json
 import re
 import time
@@ -11,7 +12,7 @@ import pytest
 from prismcode import cli
 from prismcode.cli import main
 from prismcode.cycleprism import _prism
-from prismcode.graphs import MAX_ORDER, complementary_prism, cycle, parse_graph
+from prismcode.graphs import MAX_ORDER, complementary_prism, cycle, format_graph, parse_graph
 
 import bruteforce as bf
 
@@ -125,6 +126,20 @@ def test_verify_bad_graph(capsys, tmp_path, pattern9):
     bad.write_text("p 3\n")
     code, _, err = run(capsys, "verify", str(bad), pattern9)
     assert code == 64 and "error" in err
+
+
+def test_verify_reads_at_most_one_file_from_stdin(capsys, monkeypatch, prism9, pattern9):
+    # With both from stdin the graph would empty it and the code read as
+    # empty; the pair is refused before anything is read.
+    stdin = io.StringIO(format_graph(_prism(9)))
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run(capsys, "verify", "-", "-")
+    assert (code, out) == (64, "")
+    assert err == "error: verify reads at most one of the graph and the code from stdin\n"
+    assert stdin.tell() == 0
+    assert run(capsys, "verify", "-", pattern9)[0] == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(Path(pattern9).read_text()))
+    assert run(capsys, "verify", prism9, "-")[0] == 0
 
 
 def test_non_decimal_digits_get_the_parsers_messages(capsys, tmp_path, prism9, pattern9):

@@ -171,24 +171,52 @@ def test_ball_table_stops_once_balls_settle():
     assert ball_table(g, 5) != ball_table(g, 6)
 
 
-def test_ball_table_resumes_from_the_largest_cached_radius(monkeypatch):
+def test_ball_table_rounds_run_from_the_closed_rows(monkeypatch):
     # C_12 has diameter 6: radius 7 is the first round that changes no ball.
+    # Every radius asked runs d - 1 rounds from the closed rows, up to that
+    # round, and a radius already asked runs none.
     g = cycle(12)
     adj = bf.to_adj(g)
-    expanded = []
-    expand = graphs._expand
-    monkeypatch.setattr(graphs, "_expand", lambda g, ball: expanded.append(ball) or expand(g, ball))
+    unions = []
+    union = graphs._union
+    monkeypatch.setattr(graphs, "_union", lambda balls, members: unions.append(members) or union(balls, members))
 
     def rounds(d):
-        expanded.clear()
+        unions.clear()
         balls = ball_table(g, d)
         assert [set(bits(ball)) for ball in balls] == [bf.bfs_ball(adj, u, d) for u in range(g.order)]
-        assert len(expanded) % g.order == 0
-        return len(expanded) // g.order
+        assert len(unions) % g.order == 0
+        return len(unions) // g.order
 
-    assert [rounds(d) for d in (3, 4, 2, 3)] == [2, 1, 1, 0]
-    assert rounds(8) == 3  # radii 5 and 6 grow, 7 settles
-    assert rounds(10**9) == rounds(7) == 0
+    assert [rounds(d) for d in (1, 3, 4, 2, 3)] == [0, 2, 3, 1, 0]
+    assert [rounds(d) for d in (6, 7, 8, 10**9)] == [5, 6, 6, 6]
+    assert rounds(10**9) == rounds(8) == rounds(1) == 0
+
+
+def test_ball_table_equals_bfs_up_to_one_past_settling():
+    # Seeded paths, cycles and sparse random graphs, at every radius from 1
+    # to one past the largest distance within a component, the radius of
+    # the first round that changes no ball.
+    rng = random.Random(22)
+    family = [Graph.from_edges(n, [(u, u + 1) for u in range(n - 1)]) for n in (1, 2, 5, rng.randint(6, 30))]
+    family += [cycle(n) for n in (3, 4, 7, rng.randint(8, 30))]
+    family += [random_graph(rng.randint(1, 30), rng, p) for p in (0.05, 0.1, 0.15) for _ in range(4)]
+    for g in family:
+        adj = bf.to_adj(g)
+        whole = [bf.bfs_ball(adj, u, g.order) for u in range(g.order)]
+        settle = max((min(r for r in range(g.order) if bf.bfs_ball(adj, u, r) == whole[u]) for u in range(g.order)), default=0)
+        for d in range(1, settle + 2):
+            want = [bf.bfs_ball(adj, u, d) for u in range(g.order)]
+            assert [set(bits(ball)) for ball in ball_table(g, d)] == want, (g, d)
+
+
+def test_ball_table_on_the_largest_cycle_at_a_huge_radius_is_fast():
+    # 512 rounds of one OR per closed neighbour; walking every member of
+    # every ball took minutes here.
+    g = cycle(1024)
+    start = time.perf_counter()
+    assert ball_table(g, 10**9) == ((1 << 1024) - 1,) * 1024
+    assert time.perf_counter() - start < 2.0
 
 
 def test_ball_domain():
@@ -254,6 +282,13 @@ def test_prism_indexing_roundtrip():
     assert ix.label(2) == "v3" and ix.label(15) == "vbar7"
     assert ix.parse_label("v3") == 2 and ix.parse_label("vbar7") == 15
     assert not ix.is_bar(8) and ix.is_bar(9)
+    assert [(ix.is_bar(v), ix.position(v), ix.label(v)) for v in (0, 8, 9, 17)] == [
+        (False, 1, "v1"), (False, 9, "v9"), (True, 1, "vbar1"), (True, 9, "vbar9")
+    ]
+    for v in (-1, 18, 10**6):
+        for method in (ix.is_bar, ix.position, ix.label):
+            with pytest.raises(ValueError, match=f"^vertex {v} outside prism of order 18$"):
+                method(v)
     with pytest.raises(ValueError):
         ix.cycle_vertex(10)
     with pytest.raises(GraphFormatError):
