@@ -123,7 +123,7 @@ def cmd_gen(args) -> int:
             f"vertex {n}+i is the matched partner of vertex i",
         )
         text = format_graph(g, legend)
-    if args.output:
+    if args.output and args.output != "-":
         Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
@@ -173,6 +173,8 @@ def cmd_conditions(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.export_instance == "-":
+        raise GraphFormatError("solve prints its result on stdout, so --export-instance needs a file name, not -")
     g = parse_graph(_read(args.graph))
     opts = SolverOptions(strategy=args.strategy, size_cap=args.cap)  # a bad --cap exits before the export
     if args.export_instance:
@@ -238,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="write a cycle or its complementary prism in graph text format")
     p.add_argument("kind", choices=("cycle", "prism"))
     p.add_argument("n", type=int)
-    p.add_argument("-o", "--output", help="write to a file instead of stdout")
+    p.add_argument("-o", "--output", help="write to a file instead of stdout (- is stdout)")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("verify", help="check a code file against a graph file")
@@ -265,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-d", type=int, default=1)
     p.add_argument("--strategy", choices=STRATEGIES, default="bnb")
     p.add_argument("--cap", type=int, default=None, help="certify optimum or prove it exceeds this size")
-    p.add_argument("--export-instance", metavar="FILE", help="also write the hitting-set instance")
+    p.add_argument("--export-instance", metavar="FILE", help="also write the hitting-set instance (not to -)")
     _add_json_flag(p)
     p.set_defaults(func=cmd_solve)
 

@@ -25,6 +25,8 @@ that same code; its node count covers all of its work.  Each node makes
 one pass over its unhit constraints: a greedy packing of pairwise-disjoint
 live parts (the allowed vertices of each constraint) bounds the vertices
 still needed, and the first narrowest live part is the one branched on.
+Every node, on every graph, applies the same cut before and after that
+pass: no completion can sort before the incumbent (see `_search`).
 
 On the prism of C_n with n >= 9 at d = 1, the branch-and-bound strategy
 first takes two closed forms from `cycleprism`: `condition_floor` is the
@@ -37,11 +39,10 @@ Otherwise (n = 9, 10 and 12, where the conditions are not sufficient)
 the search runs from the floor as a lower bound, seeded with
 `pattern_code(n)` once `verify_code` confirms it.  At those n the
 pattern code already has the floor's size, so the optimum is known at
-the root and the search only looks for a lexicographically smaller tie:
-each node first asks whether one is still possible, before its pass over
-the unhit constraints.  Other inputs take neither the closed forms nor
-the floor, and are seeded with `idcode.greedy_code`; the exhaustive
-strategy takes none of them.
+the root and the search only looks for a lexicographically smaller tie,
+which the cut before each node's pass already asks for.  Other inputs
+take neither the closed forms nor the floor, and are seeded with
+`idcode.greedy_code`; the exhaustive strategy takes none of them.
 That shared canonical answer is the determinism contract: strategies
 agree on everything except wall-clock time and node counts, and repeated
 runs on everything except wall-clock time.
@@ -160,7 +161,7 @@ def _exhaustive(inst: HittingInstance, cap: Optional[int]):
     top = universe if cap is None else min(cap, universe)
     nodes = 0
     for k in range(top + 1):
-        for masks in _lex_blocks(universe, k, 0, 0, _BLOCK):
+        for masks in _lex_blocks(universe, k, 0, 0):
             hit = np.flatnonzero(tables.hits_all(masks))
             if len(hit):
                 return k, tuple(bits(int(masks[hit[0]]))), nodes + int(hit[0]) + 1
@@ -168,19 +169,19 @@ def _exhaustive(inst: HittingInstance, cap: Optional[int]):
     return None, None, nodes
 
 
-def _lex_blocks(m: int, k: int, prefix: int, lo: int, block: int) -> Iterator[np.ndarray]:
+def _lex_blocks(m: int, k: int, prefix: int, lo: int) -> Iterator[np.ndarray]:
     """prefix | S for every k-subset S of lo..m-1, in lex order, as uint64 mask blocks.
 
     Lex order groups the subsets by their smallest vertex, so a set of
-    more than block subsets splits into one set per smallest vertex v,
+    more than `_BLOCK` subsets splits into one set per smallest vertex v,
     each with v added to the prefix.
     """
-    if comb(m - lo, k) <= block:
+    if comb(m - lo, k) <= _BLOCK:
         table = _lex_subsets(m - lo, k)
         yield (table << np.uint64(lo)) | np.uint64(prefix) if lo else table
         return
     for v in range(lo, m - k + 1):
-        yield from _lex_blocks(m, k - 1, prefix | 1 << v, v + 1, block)
+        yield from _lex_blocks(m, k - 1, prefix | 1 << v, v + 1)
 
 
 @lru_cache(maxsize=128)
@@ -231,28 +232,33 @@ def _search(
     Sets compare by size, then by the lowest vertex where they differ: the
     set holding it sorts first.  best = (size, None) is a bare bound that
     only a strictly smaller set replaces.  One pass over unhit finds the
-    packing bound (pairwise-disjoint live parts c & allowed each need a
+    packing bound lb (pairwise-disjoint live parts c & allowed each need a
     vertex of their own, since every vertex added comes from allowed) and
     the first narrowest live part P, whose vertices are the children,
     lowest first.  No live part is ever empty: the root's constraints are
     nonempty and every vertex is allowed, and a child's constraint with
     no allowed vertex left would, at the parent, have had its live part
-    among P's vertices before the child's, so narrower than P.  floor is a
-    lower bound on every hitting set, so floor - size bounds the vertices
-    still needed as well; once floor reaches best's size only a tie can
-    win, and the tie test runs before the pass.
+    among P's vertices before the child's, so narrower than P.
+
+    One rule cuts a node: the least size of any completion is above best's,
+    or equal to it with no tie within reach that sorts before best's set.
+    floor bounds every hitting set, so the least size is size at a leaf
+    (reach = chosen), max(floor, size + 1) before the pass and
+    max(floor, size + lb) after it (reach = chosen | allowed); the tie test
+    reruns after the pass only if the pass raised the least size to best's.
     """
     counter[0] += 1
     size = chosen.bit_count()
     best_size, best_mask = best
+    # least and packed are max(floor, ...) written out, since calling max measured slower
+    if unhit:
+        least, reach = size + 1 if size >= floor else floor, chosen | allowed
+    else:
+        least, reach = size, chosen
+    if least > best_size or least == best_size and not _may_tie(reach, best_mask):
+        return best
     if not unhit:
-        if size < best_size or size == best_size and _may_tie(chosen, best_mask):
-            return size, chosen
-        return best
-    if size + 1 > best_size:
-        return best
-    if floor >= best_size and not _may_tie(chosen | allowed, best_mask):
-        return best
+        return size, chosen
     lb = used = pick = 0
     pick_width = allowed.bit_count() + 1
     for c in unhit:
@@ -264,10 +270,8 @@ def _search(
             width = live.bit_count()
             if width < pick_width:
                 pick, pick_width = live, width
-    lb = max(lb, floor - size)
-    if size + lb > best_size:
-        return best
-    if size + lb == best_size and floor < best_size and not _may_tie(chosen | allowed, best_mask):
+    packed = size + lb if size + lb > floor else floor
+    if packed > best_size or packed == best_size > least and not _may_tie(reach, best_mask):
         return best
     sub_allowed = allowed
     while pick:

@@ -142,6 +142,31 @@ def test_verify_reads_at_most_one_file_from_stdin(capsys, monkeypatch, prism9, p
     assert run(capsys, "verify", prism9, "-")[0] == 0
 
 
+def test_gen_output_dash_is_stdout(capsys, monkeypatch, tmp_path):
+    # "-" as a graph or code file reads stdin; as gen's output it writes
+    # stdout, the same bytes as without -o, and leaves no file named "-".
+    monkeypatch.chdir(tmp_path)
+    plain = run(capsys, "gen", "prism", "5")
+    assert plain[0] == 0 and plain[1].startswith("c complementary prism")
+    assert run(capsys, "gen", "prism", "5", "-o", "-") == plain
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_solve_refuses_export_instance_to_dash(capsys, monkeypatch, tmp_path):
+    # stdout carries the result, so the instance cannot go there too; the
+    # option is refused before the graph is read.
+    monkeypatch.chdir(tmp_path)
+    stdin = io.StringIO(format_graph(_prism(5)))
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run(capsys, "solve", "-", "--export-instance", "-")
+    assert (code, out) == (64, "")
+    assert err == "error: solve prints its result on stdout, so --export-instance needs a file name, not -\n"
+    assert stdin.tell() == 0
+    assert list(tmp_path.iterdir()) == []
+    assert run(capsys, "solve", "-", "--export-instance", "inst.txt")[0] == 0
+    assert [f.name for f in tmp_path.iterdir()] == ["inst.txt"]
+
+
 def test_non_decimal_digits_get_the_parsers_messages(capsys, tmp_path, prism9, pattern9):
     # "²" is a digit to str.isdigit but not to int(); each parser refuses it in its own words.
     files = {}

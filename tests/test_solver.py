@@ -1,5 +1,6 @@
 """Both solver strategies against brute force, plus the determinism contract."""
 
+import hashlib
 import json
 import random
 from itertools import combinations
@@ -332,6 +333,27 @@ def test_search_never_meets_a_constraint_without_an_allowed_vertex(monkeypatch):
             if hitting_instance(g, d).feasible:
                 res = solve_min_idcode(g, d)
                 assert res.code == solve_min_idcode(g, d, EXH).code, (g, d)
+
+
+def test_bnb_outcomes_frozen_node_for_node():
+    # The default solve, uncapped and at every cap from 0 to the optimum + 2,
+    # on the prisms of C_3..C_24 at d = 1 and 2 (the prism route, with and
+    # without the floor, and infeasible ones) and on 300 seeded random graphs
+    # of order 2..18 (the greedy seed, no floor).  The digest covers status,
+    # size, code, witness and node count; it was taken from the search that
+    # decided its cuts in five separate tests.
+    rng = random.Random(23)
+    cases = [(complementary_prism(cycle(n)), d) for n in range(3, 25) for d in (1, 2)]
+    cases += [(random_graph(rng.randint(2, 18), rng, (0.2, 0.5, 0.8)[i % 3]), 1) for i in range(300)]
+    outcomes = []
+    for g, d in cases:
+        res = solve_min_idcode(g, d)
+        caps = [] if res.size is None else range(res.size + 3)
+        for res in [res, *(solve_min_idcode(g, d, SolverOptions(size_cap=cap)) for cap in caps)]:
+            outcomes.append((res.status, res.size, res.code, res.witness, res.nodes))
+    assert len(outcomes) == 2369
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == "e84e3ddbfe804653a009a68b6229a28a02de69848f055c2166d5b77fb6d45633"
 
 
 def test_transfer_route_cap_below_floor():

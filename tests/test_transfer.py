@@ -99,9 +99,11 @@ def test_lexmin_pair_is_clean_at_the_floor():
 
 
 def test_lexmin_pairs_frozen():
-    # SHA-256 of the lines "n x xbar" (x, xbar: the pair's row bitmasks) for
-    # n = 9..120, taken from the implementation with 3-D walk tables and
-    # forward tables for the bar row: a rewrite of the DP must keep every pair.
+    # SHA-256 of the lines "n x xbar" (x, xbar: the pair's row bitmasks) of
+    # the closed form cycleprism.lexmin_pair for n = 9..120, first taken from
+    # the transfer DP with 3-D walk tables and forward tables for the bar row,
+    # when that DP was the package's: a rewrite of the closed form must keep
+    # every pair.  test_lexmin_pair_equals_reference_dp covers the DP.
     pairs = {n: lexmin_pair(n) for n in range(9, 121)}
     lines = "".join(f"{n} {p.x} {p.xbar}\n" for n, p in pairs.items())
     assert hashlib.sha256(lines.encode()).hexdigest() == "6802b0b740a5e1b9a5d8d70f15043a794bc717dc687bd82e295e3a77341444ff"

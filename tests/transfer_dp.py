@@ -27,23 +27,21 @@ or a backward step is one `take`, one min over the move axis, one cost
 add and one clamp: `_step`, the one kernel both directions share.
 
 `lexmin_pair(n)` returns the lex-min pair of that least size, in the
-solver's vertex order: a greedy settles the cycle row, then the bar
-row, one position at a time.  Each row starts from one backward pass
-that keeps, for every step, the least cost of the remaining steps back
-to each start state (the first 4 columns).  The cycle row carries a
-forward table of its settled prefix and checks each position with one
-add and one min against those tables, stacked for every position with
-the blind counts combined and the rows without the cycle vertex masked
-out.  Once the cycle row is fixed, exactly one start state remains for
-the bar row, and every settled prefix fixes the walk's state, blind
-count and cost, so the bar row is a scalar walk that reads the
-backward tables.  Where that pair passes `verify_code` (every n from 9
-to 200 except 9, 10 and 12), it is the lex-min optimal code.  The
-package answers from closed forms, `cycleprism.condition_floor` and
-`cycleprism.lexmin_pair`, which this DP is the reference for; the
-solver returns the closed-form pair with nodes = 0 where it identifies
-and elsewhere runs branch and bound from the floor, seeded with the
-verified pattern code, which has the floor's size at n = 9, 10 and 12.
+solver's vertex order: one greedy, `_row`, settles the cycle row, then
+the bar row with each column's cycle bit fixed by the cycle row, one
+position at a time.  Each row starts from one backward pass that keeps,
+for every step, the least cost of the remaining steps back to each
+start state (the first 4 columns), then carries a forward table of its
+settled prefix and checks each position with one add and one min
+against those tables, stacked for every position with the blind counts
+combined and the rows without the row's vertex masked out.  Where that
+pair passes `verify_code` (every n from 9 to 200 except 9, 10 and 12),
+it is the lex-min optimal code.  The package answers from closed forms,
+`cycleprism.condition_floor` and `cycleprism.lexmin_pair`, which this DP
+is the reference for; the solver returns the closed-form pair with
+nodes = 0 where it identifies and elsewhere runs branch and bound from
+the floor, seeded with the verified pattern code, which has the floor's
+size at n = 9, 10 and 12.
 
 The window tables are derived from `condition_masks` and
 `CodePair.blind_bar` at a reference n, never retyped, and only
@@ -106,8 +104,7 @@ def _tables():
 # start i and state s with b blind windows (for a closed walk, the start
 # is its first 4 columns, which it returns to).  The last row is a
 # sentinel of _INF that absent moves point at.  _step moves a table one
-# column on, forward or backward; the bar row of lexmin_pair keeps no
-# table, only a scalar walk over _successors.
+# column on, forward or backward.
 
 
 @lru_cache(maxsize=None)
@@ -194,8 +191,8 @@ def _walks(k: int) -> np.ndarray:
     """W[2t + b, s]: least cost of a k-step walk from state s to t with b blind windows.
 
     These are the walks from every state as a start.  The walk tables of
-    the last two lengths are kept and extended, so a scan over ascending
-    n takes about one step per n.
+    the last two lengths are kept and extended, so a loop over ascending
+    n, as in the tests, takes about one step per n.
     """
     start, walks = 0, None
     for entry in _recent:
@@ -216,8 +213,8 @@ def _reach(n: int) -> np.ndarray:
 
     The closed walks are split after n // 2 columns: a walk from s to t
     with b blind windows and one back from t to s with b' close at most
-    one blind window when b + b' <= 1.  The last n's table is kept: a
-    solve asks for the floor, then for the lex-min pair.
+    one blind window when b + b' <= 1.  The last n's table is kept:
+    lexmin_pair reads it for the floor and again for its start states.
     """
     a, c = _walks(n // 2), _walks(n - n // 2)
     c0 = c[0:-1:2]
@@ -268,20 +265,21 @@ def _backward(n: int, floor: int, starts: list[int], allowed: list[tuple[int, ..
     return chosen, back[1:n - 3, :, [starts.index(k) for k in chosen]]
 
 
-def _cycle_row(n: int, floor: int, starts: list[int]) -> list[bool]:
-    """The cycle row of the lex-min floor-cost closed walk; starts holds every start of one.
+def _row(n: int, floor: int, starts: list[int], allowed: list[tuple[int, ...]], bit: int) -> list[bool]:
+    """One row of the lex-min floor-cost closed walk: bit's vertex in each column.
 
-    Columns 0..3 are settled by the start, the rest one at a time: the
-    walks of the settled prefix step to column p, and p keeps its cycle
-    vertex when one of them that ends on it, added to the rest of its
-    walk, still costs floor.  rest[p - 4] holds, for every walk that ends
-    on the cycle vertex with b blind windows, the least cost its rest
-    adds with at most 1 - b more; built for all p in one stacked pass,
-    it makes each check one add and one min.
+    Column p takes a value in allowed[p], and starts holds every start
+    of such a walk.  Columns 0..3 are settled by the start, the rest one
+    at a time: the walks of the settled prefix step to column p, and p
+    keeps its vertex when one of them that ends on it, added to the rest
+    of its walk, still costs floor.  rest[p - 4] holds, for every walk
+    that ends on the vertex with b blind windows, the least cost its
+    rest adds with at most 1 - b more; built for all p in one stacked
+    pass, it makes each check one add and one min.
     """
     states = _tables()[0]
-    chosen, ahead = _backward(n, floor, starts, [_ALL] * n, 1)
-    has = np.append(np.repeat(np.array(states) >> 6 & 1 > 0, 2), False)
+    chosen, ahead = _backward(n, floor, starts, allowed, bit)
+    has = np.append(np.repeat(np.array(states) >> 6 & bit > 0, 2), False)
     # Raising a table to drop[keep] sets the rows whose state disagrees with keep at column p to _INF.
     wide = np.repeat(has[:, None], len(chosen), axis=1)
     drop = {keep: np.where(wide == keep, 0, _INF).astype(np.int16) for keep in (False, True)}
@@ -293,43 +291,13 @@ def _cycle_row(n: int, floor: int, starts: list[int]) -> list[bool]:
     both[:, :, 1] = pairs[:, :, 0]
     rest -= _addends(len(chosen))[0]  # the state's own column, which the prefix counts
     np.maximum(rest, drop[True], out=rest)
-    row = [bool(states[chosen[0]] >> 2 * i & 1) for i in range(4)]
-    f, into = _origin(chosen), _moves(_ALL)[0]
+    row = [bool(states[chosen[0]] >> 2 * i & bit) for i in range(4)]
+    f = _origin(chosen)
     for p in range(4, n):
-        f = _step(f, into, np.empty_like(f))
+        f = _step(f, _moves(allowed[p])[0], np.empty_like(f))
         keep = bool((f + rest[p - 4]).min() == floor)
         row.append(keep)
         np.maximum(f, drop[keep], out=f)
-    return row
-
-
-def _bar_row(n: int, floor: int, x: list[bool]) -> list[bool]:
-    """The bar row of the lex-min floor-cost closed walk with cycle row x.
-
-    The cycle bits of columns 0..3 and _prefer fix the start state, so
-    each settled prefix is one walk: its state, blind count and cost are
-    scalars.  Column p keeps its bar vertex when the walk can step there
-    and, with the rest of its walk, still cost floor.
-    """
-    states, cost, _ = _tables()
-    first = sum(v << 2 * i for i, v in enumerate(x[:4]))  # the cycle bits of columns 0..3
-    starts = np.flatnonzero(np.array(states) & 0x55 == first).tolist()
-    (start,), ahead = _backward(n, floor, starts, [(1, 3) if v else (0, 2) for v in x], 2)
-    ahead = ahead[:, :, 0]
-    row = [bool(states[start] >> 2 * i & 2) for i in range(4)]
-    succ, cost = _successors(), cost.tolist()
-    s, blind, spent = start, 0, 0
-    for p in range(4, n):
-        for c in (int(x[p]) | 2, int(x[p])):
-            if succ[s][c] is not None:
-                t, b = succ[s][c]
-                more = range(2 - blind - b)  # the blind windows the rest may still add
-                if more and spent + min(ahead.item(p - 4, 2 * t + k) for k in more) == floor:
-                    break
-        else:
-            raise AssertionError(f"no floor-cost walk extends the bar row at column {p}")
-        row.append(c > 1)
-        s, blind, spent = t, blind + b, spent + cost[t]
     return row
 
 
@@ -353,6 +321,8 @@ def lexmin_pair(n: int) -> CodePair:
     does not identify, nothing follows beyond the floor.
     """
     floor = condition_floor(n)
-    x = _cycle_row(n, floor, _prefer(np.flatnonzero(_reach(n) == floor).tolist(), 1))
-    xbar = _bar_row(n, floor, x)
+    x = _row(n, floor, _prefer(np.flatnonzero(_reach(n) == floor).tolist(), 1), [_ALL] * n, 1)
+    first = sum(v << 2 * i for i, v in enumerate(x[:4]))  # the cycle bits of columns 0..3
+    starts = np.flatnonzero(np.array(_tables()[0]) & 0x55 == first).tolist()
+    xbar = _row(n, floor, starts, [(1, 3) if v else (0, 2) for v in x], 2)
     return CodePair(n, sum(v << i for i, v in enumerate(x)), sum(v << i for i, v in enumerate(xbar)))
