@@ -163,8 +163,6 @@ def test_solve_refuses_export_instance_to_dash(capsys, monkeypatch, tmp_path):
     assert err == "error: solve prints its result on stdout, so --export-instance needs a file name, not -\n"
     assert stdin.tell() == 0
     assert list(tmp_path.iterdir()) == []
-    assert run(capsys, "solve", "-", "--export-instance", "inst.txt")[0] == 0
-    assert [f.name for f in tmp_path.iterdir()] == ["inst.txt"]
 
 
 def test_non_decimal_digits_get_the_parsers_messages(capsys, tmp_path, prism9, pattern9):
