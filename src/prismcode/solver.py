@@ -21,12 +21,16 @@ C_15 (order 30, 108M subsets) about 2.5 s on a 2-core Xeon host.
 
 The branch-and-bound strategy runs one search, `_search`, that orders
 hitting sets by size and breaks ties lexicographically, so it returns
-that same code; its node count covers all of its work.  Each node makes
-one pass over its unhit constraints: a greedy packing of pairwise-disjoint
-live parts (the allowed vertices of each constraint) bounds the vertices
-still needed, and the first narrowest live part is the one branched on.
-Every node, on every graph, applies the same cut before and after that
-pass: no completion can sort before the incumbent (see `_search`).
+that same code; its node count covers all of its work.  Each node
+receives its parent's constraint list and makes one pass over it: it
+skips the constraints its chosen vertices hit and keeps the rest, in
+order, as the list every child receives; a greedy packing of
+pairwise-disjoint live parts (the allowed vertices of each constraint)
+bounds the vertices still needed; and the first narrowest live part is
+the one branched on.  So each list is filtered once, by the node it
+belongs to, and a node cut before its pass filters nothing.  Every node,
+on every graph, applies the same cut before and after that pass: no
+completion can sort before the incumbent (see `_search`).
 
 On the prism of C_n with n >= 9 at d = 1, the branch-and-bound strategy
 first takes two closed forms from `cycleprism`: `condition_floor` is the
@@ -50,6 +54,7 @@ runs on everything except wall-clock time.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -231,14 +236,20 @@ def _search(
 
     Sets compare by size, then by the lowest vertex where they differ: the
     set holding it sorts first.  best = (size, None) is a bare bound that
-    only a strictly smaller set replaces.  One pass over unhit finds the
-    packing bound lb (pairwise-disjoint live parts c & allowed each need a
-    vertex of their own, since every vertex added comes from allowed) and
-    the first narrowest live part P, whose vertices are the children,
-    lowest first.  No live part is ever empty: the root's constraints are
-    nonempty and every vertex is allowed, and a child's constraint with
-    no allowed vertex left would, at the parent, have had its live part
-    among P's vertices before the child's, so narrower than P.
+    only a strictly smaller set replaces.  unhit is the parent's list (the
+    width-sorted instance at the root); the node's own constraints are
+    those in it that chosen does not hit.  Before the pass, a scan that
+    stops at the first of them tells a leaf (none left) from an inner
+    node.  The one pass then keeps them, in order, as the list each child
+    receives, and finds the packing bound lb (pairwise-disjoint live parts
+    c & allowed each need a vertex of their own, since every vertex added
+    comes from allowed) and the first narrowest live part P, whose
+    vertices are the children, lowest first.  No live part is ever empty:
+    the root's constraints are nonempty and every vertex is allowed, and
+    a child's own constraints are its parent's that the child's vertex
+    misses, so one with no allowed vertex left would, at the parent, have
+    had its live part among P's vertices before the child's, so narrower
+    than P.  That is why a node with constraints left always has a child.
 
     One rule cuts a node: the least size of any completion is above best's,
     or equal to it with no tie within reach that sorts before best's set.
@@ -251,17 +262,23 @@ def _search(
     size = chosen.bit_count()
     best_size, best_mask = best
     # least and packed are max(floor, ...) written out, since calling max measured slower
-    if unhit:
-        least, reach = size + 1 if size >= floor else floor, chosen | allowed
+    for c in unhit:
+        if not c & chosen:
+            leaf, least, reach = False, size + 1 if size >= floor else floor, chosen | allowed
+            break
     else:
-        least, reach = size, chosen
+        leaf, least, reach = True, size, chosen
     if least > best_size or least == best_size and not _may_tie(reach, best_mask):
         return best
-    if not unhit:
+    if leaf:
         return size, chosen
     lb = used = pick = 0
     pick_width = allowed.bit_count() + 1
+    own = []
     for c in unhit:
+        if c & chosen:
+            continue
+        own.append(c)
         live = c & allowed
         if not live & used:
             lb += 1
@@ -278,8 +295,7 @@ def _search(
         vbit = pick & -pick
         pick ^= vbit
         sub_allowed ^= vbit
-        rest = [u for u in unhit if not u & vbit]
-        best = _search(rest, chosen | vbit, sub_allowed, best, counter, floor)
+        best = _search(own, chosen | vbit, sub_allowed, best, counter, floor)
     return best
 
 
@@ -289,6 +305,9 @@ def _bnb(inst: HittingInstance, cap: Optional[int], floor: int, incumbent: Optio
     floor must not exceed the optimum; the search starts from it as a
     lower bound on every hitting set.  The incumbent defaults to the
     greedy code; one larger than cap gives way to the bare bound cap + 1.
+    Each level of the search adds one vertex, so it nests up to universe + 1
+    calls deep, which can pass Python's default recursion limit of 1000
+    (order 1024, say); the limit is raised by that much while it runs.
     """
     if incumbent is None:
         incumbent = greedy_code(inst)
@@ -298,7 +317,12 @@ def _bnb(inst: HittingInstance, cap: Optional[int], floor: int, incumbent: Optio
         seed = (cap + 1, None)
     unhit = sorted(inst.constraints, key=int.bit_count)
     counter = [0]
-    size, mask = _search(unhit, 0, (1 << inst.universe) - 1, seed, counter, floor)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + inst.universe + 1)
+    try:
+        size, mask = _search(unhit, 0, (1 << inst.universe) - 1, seed, counter, floor)
+    finally:
+        sys.setrecursionlimit(limit)
     if mask is None:
         return None, None, counter[0]
     return size, tuple(bits(mask)), counter[0]

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import sys
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -311,14 +312,20 @@ def test_strategies_agree_at_every_cap_on_fallback_prisms():
 
 
 def test_search_never_meets_a_constraint_without_an_allowed_vertex(monkeypatch):
-    # _search has no dead-constraint test: its docstring proves every unhit
-    # constraint keeps an allowed vertex.  The recursion looks _search up in
-    # the module, so the wrapper sees every node.
-    search, calls = solver._search, [0]
+    # _search has no dead-constraint test: its docstring proves every
+    # constraint that chosen leaves unhit keeps an allowed vertex.  A node
+    # receives its parent's list, so it must hold, in the root's order,
+    # every root constraint that chosen leaves unhit (only the root has
+    # chosen = 0).  The recursion looks _search up in the module, so the
+    # wrapper sees every node.
+    search, calls, root = solver._search, [0], []
 
     def checked(unhit, chosen, allowed, *rest):
         calls[0] += 1
-        assert all(c & allowed for c in unhit), (unhit, chosen, allowed)
+        if not chosen:
+            root[:] = unhit
+        assert all(c & allowed for c in unhit if not c & chosen), (unhit, chosen, allowed)
+        assert [c for c in unhit if not c & chosen] == [c for c in root if not c & chosen], chosen
         return search(unhit, chosen, allowed, *rest)
 
     monkeypatch.setattr(solver, "_search", checked)
@@ -354,6 +361,25 @@ def test_bnb_outcomes_frozen_node_for_node():
     assert len(outcomes) == 2369
     digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
     assert digest == "e84e3ddbfe804653a009a68b6229a28a02de69848f055c2166d5b77fb6d45633"
+
+
+def test_search_deeper_than_the_recursion_limit():
+    # The search nests one call per vertex of the code it builds, and the
+    # star K_{1,79}'s optimum takes every vertex but one.  With the limit
+    # only 40 frames above the caller's depth, the search must raise it.
+    g = Graph.from_edges(80, [(0, v) for v in range(1, 80)])
+    frame, depth = sys._getframe(), 0
+    while frame:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        res = solve_min_idcode(g, 1)
+    finally:
+        restored = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit)
+    assert restored == depth + 40
+    assert (res.status, res.size, res.code, res.nodes) == (OPTIMAL, 79, tuple(range(79)), 159)
 
 
 def test_transfer_route_cap_below_floor():
