@@ -342,13 +342,13 @@ def test_search_never_meets_a_constraint_without_an_allowed_vertex(monkeypatch):
                 assert res.code == solve_min_idcode(g, d, EXH).code, (g, d)
 
 
-def test_bnb_outcomes_frozen_node_for_node():
+@pytest.fixture(scope="module")
+def bnb_outcomes():
     # The default solve, uncapped and at every cap from 0 to the optimum + 2,
     # on the prisms of C_3..C_24 at d = 1 and 2 (the prism route, with and
     # without the floor, and infeasible ones) and on 300 seeded random graphs
-    # of order 2..18 (the greedy seed, no floor).  The digest covers status,
-    # size, code, witness and node count; it was taken from the search that
-    # decided its cuts in five separate tests.
+    # of order 2..18 (the greedy seed, no floor): (status, size, code,
+    # witness, nodes) of each.
     rng = random.Random(23)
     cases = [(complementary_prism(cycle(n)), d) for n in range(3, 25) for d in (1, 2)]
     cases += [(random_graph(rng.randint(2, 18), rng, (0.2, 0.5, 0.8)[i % 3]), 1) for i in range(300)]
@@ -359,8 +359,21 @@ def test_bnb_outcomes_frozen_node_for_node():
         for res in [res, *(solve_min_idcode(g, d, SolverOptions(size_cap=cap)) for cap in caps)]:
             outcomes.append((res.status, res.size, res.code, res.witness, res.nodes))
     assert len(outcomes) == 2369
-    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    return outcomes
+
+
+def test_bnb_outcomes_frozen_node_for_node(bnb_outcomes):
+    # The digest covers status, size, code, witness and node count; it was
+    # taken from the search that decided its cuts in five separate tests.
+    digest = hashlib.sha256(repr(bnb_outcomes).encode()).hexdigest()
     assert digest == "e84e3ddbfe804653a009a68b6229a28a02de69848f055c2166d5b77fb6d45633"
+
+
+def test_bnb_answers_frozen(bnb_outcomes):
+    # The same solves without node counts: a change to the search may move
+    # its node counts, but never the answers.
+    digest = hashlib.sha256(repr([outcome[:4] for outcome in bnb_outcomes]).encode()).hexdigest()
+    assert digest == "f25652daffaff71e3f6433b51eba42dfe1779452f2d9c7e090549f4fa80e4c98"
 
 
 def test_search_deeper_than_the_recursion_limit():
