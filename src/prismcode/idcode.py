@@ -183,24 +183,22 @@ def _incidence(universe: int, constraints: Sequence[int]) -> np.ndarray:
 
 
 def hitting_instance(g: Graph, d: int) -> HittingInstance:
-    """Build the domination + separation constraint system for (g, d)."""
+    """Build the domination + separation constraint system for (g, d).
+
+    One insertion-ordered dict keeps each constraint's first occurrence.
+    No ball is empty, so key 0 appears only for twins; their pairs are
+    collected by a second scan only then.
+    """
     balls = ball_table(g, d)
-    constraints: list[int] = []
-    seen: set[int] = set()
-    infeasible: list[tuple[int, int]] = []
-    for ball in balls:
-        if ball not in seen:
-            seen.add(ball)
-            constraints.append(ball)
-    for u in range(g.order):
-        for v in range(u + 1, g.order):
-            diff = balls[u] ^ balls[v]
-            if not diff:
-                infeasible.append((u, v))
-            elif diff not in seen:
-                seen.add(diff)
-                constraints.append(diff)
-    return HittingInstance(g.order, tuple(constraints), tuple(infeasible))
+    seen = dict.fromkeys(balls)
+    for u, bu in enumerate(balls):
+        for bv in balls[u + 1:]:
+            seen[bu ^ bv] = None
+    infeasible = []
+    if 0 in seen:
+        del seen[0]
+        infeasible = [(u, v) for u in range(g.order) for v in range(u + 1, g.order) if balls[u] == balls[v]]
+    return HittingInstance(g.order, tuple(seen), tuple(infeasible))
 
 
 def greedy_code(inst: HittingInstance) -> tuple[int, ...]:

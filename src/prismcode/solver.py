@@ -19,18 +19,25 @@ block empties.  Those mask tests are nearly all of the time: the prism
 of C_12 (order 24, 2.58M subsets tested) takes about 0.06 s and that of
 C_15 (order 30, 108M subsets) about 2.5 s on a 2-core Xeon host.
 
-The branch-and-bound strategy runs one search, `_search`, that orders
-hitting sets by size and breaks ties lexicographically, so it returns
-that same code; its node count covers all of its work.  Each node
-receives its parent's constraint list and makes one pass over it: it
-skips the constraints its chosen vertices hit and keeps the rest, in
+The branch-and-bound strategy runs `_search`, which orders hitting sets
+by size and breaks ties lexicographically, so it returns that same code;
+its node count, one per `_search` call, covers all of its work.  Each
+node receives its parent's constraint list and makes one pass over it:
+it skips the constraints its chosen vertices hit and keeps the rest, in
 order, as the list every child receives; a greedy packing of
 pairwise-disjoint live parts (the allowed vertices of each constraint)
 bounds the vertices still needed; and the first narrowest live part is
 the one branched on.  So each list is filtered once, by the node it
 belongs to, and a node cut before its pass filters nothing.  Every node,
 on every graph, applies the same cut before and after that pass: no
-completion can sort before the incumbent (see `_search`).
+completion can sort before the incumbent (see `_search`).  A node one
+vertex short of the incumbent's size makes no pass and has no child:
+only one more vertex, shared by every constraint it leaves unhit, can
+complete it, so it intersects those constraints and answers at once.
+When the floor equals the incumbent's size, only a lexicographically
+smaller tie can replace the incumbent, and `_bnb` splits the search at
+the root, one search per vertex where such a tie first leaves the
+incumbent (see `_bnb`).
 
 On the prism of C_n with n >= 9 at d = 1, the branch-and-bound strategy
 first takes two closed forms from `cycleprism`: `condition_floor` is the
@@ -44,9 +51,9 @@ the search runs from the floor as a lower bound, seeded with
 `pattern_code(n)` once `verify_code` confirms it.  At those n the
 pattern code already has the floor's size, so the optimum is known at
 the root and the search only looks for a lexicographically smaller tie,
-which the cut before each node's pass already asks for.  Other inputs
-take neither the closed forms nor the floor, and are seeded with
-`idcode.greedy_code`; the exhaustive strategy takes none of them.
+split at the root as above.  Other inputs take neither the closed forms
+nor the floor, and are seeded with `idcode.greedy_code`; the exhaustive
+strategy takes none of them.
 That shared canonical answer is the determinism contract: strategies
 agree on everything except wall-clock time and node counts, and repeated
 runs on everything except wall-clock time.
@@ -245,11 +252,12 @@ def _search(
     c & allowed each need a vertex of their own, since every vertex added
     comes from allowed) and the first narrowest live part P, whose
     vertices are the children, lowest first.  No live part is ever empty:
-    the root's constraints are nonempty and every vertex is allowed, and
-    a child's own constraints are its parent's that the child's vertex
-    misses, so one with no allowed vertex left would, at the parent, have
-    had its live part among P's vertices before the child's, so narrower
-    than P.  That is why a node with constraints left always has a child.
+    at a root of `_bnb` every constraint chosen leaves unhit has an
+    allowed vertex (see there), and a child's own constraints are its
+    parent's that the child's vertex misses, so one with no allowed vertex
+    left would, at the parent, have had its live part among P's vertices
+    before the child's, so narrower than P.  That is why a node with
+    constraints left always has a child.
 
     One rule cuts a node: the least size of any completion is above best's,
     or equal to it with no tie within reach that sorts before best's set.
@@ -257,6 +265,14 @@ def _search(
     (reach = chosen), max(floor, size + 1) before the pass and
     max(floor, size + lb) after it (reach = chosen | allowed); the tie test
     reruns after the pass only if the pass raised the least size to best's.
+
+    A node that passes the cut before its pass with size + 1 == best's size
+    can only give a tie, so best is a set and the node's useful completions
+    are chosen | v for the allowed v in every constraint it leaves unhit;
+    the lowest such v sorts first.  So it skips the pass and has no child:
+    it intersects those constraints with allowed, returns best as soon as
+    the intersection is empty, and otherwise answers chosen | v for the
+    lowest v if that sorts before best's set.
     """
     counter[0] += 1
     size = chosen.bit_count()
@@ -272,6 +288,15 @@ def _search(
         return best
     if leaf:
         return size, chosen
+    if size + 1 == best_size:
+        shared = allowed
+        for c in unhit:
+            if not c & chosen:
+                shared &= c
+                if not shared:
+                    return best
+        tie = chosen | shared & -shared
+        return (best_size, tie) if _may_tie(tie, best_mask) else best
     lb = used = pick = 0
     pick_width = allowed.bit_count() + 1
     own = []
@@ -300,11 +325,26 @@ def _search(
 
 
 def _bnb(inst: HittingInstance, cap: Optional[int], floor: int, incumbent: Optional[tuple[int, ...]] = None):
-    """Lex-min optimal hitting set from one search, seeded by an incumbent hitting set.
+    """Lex-min optimal hitting set by branch and bound, seeded by an incumbent hitting set.
 
     floor must not exceed the optimum; the search starts from it as a
     lower bound on every hitting set.  The incumbent defaults to the
     greedy code; one larger than cap gives way to the bare bound cap + 1.
+    The node count is the number of `_search` calls.
+
+    One search runs from the root (nothing chosen, every vertex allowed),
+    unless floor equals the size of the incumbent B: then B is optimal and
+    only a smaller set S of its size, in the lex order, can replace it.
+    S first differs from B at a vertex f outside B that S holds, so S is
+    (B below f) | f | (some vertices above f).  The search is split into
+    one cell per such f, in increasing order, each a `_search` from
+    chosen = (B below f) | f with the vertices above f allowed; the cells
+    stop at the first f whose chosen part is larger than B, and after the
+    first cell that finds a tie, since every set of a later cell sorts
+    after that tie.  B hits every constraint and none of its
+    vertices below f is missing from chosen, so every constraint a cell
+    root leaves unhit holds a vertex of B above f, an allowed one.
+
     Each level of the search adds one vertex, so it nests up to universe + 1
     calls deep, which can pass Python's default recursion limit of 1000
     (order 1024, say); the limit is raised by that much while it runs.
@@ -316,13 +356,28 @@ def _bnb(inst: HittingInstance, cap: Optional[int], floor: int, incumbent: Optio
     else:
         seed = (cap + 1, None)
     unhit = sorted(inst.constraints, key=int.bit_count)
+    full = (1 << inst.universe) - 1
+    size, mask = seed
+    cells = [(0, full)]
+    if floor == size and mask is not None:
+        cells = []
+        for f in bits(full & ~mask):
+            fixed = mask & (1 << f) - 1 | 1 << f
+            if fixed.bit_count() > size:
+                break
+            cells.append((fixed, full & -(2 << f)))
     counter = [0]
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + inst.universe + 1)
+    best = seed
     try:
-        size, mask = _search(unhit, 0, (1 << inst.universe) - 1, seed, counter, floor)
+        for chosen, allowed in cells:
+            best = _search(unhit, chosen, allowed, best, counter, floor)
+            if best != seed:
+                break
     finally:
         sys.setrecursionlimit(limit)
+    size, mask = best
     if mask is None:
         return None, None, counter[0]
     return size, tuple(bits(mask)), counter[0]

@@ -121,6 +121,15 @@ def test_strategies_agree_at_every_cap():
             assert (a.status, a.size, a.code) == (b.status, b.size, b.code), (g, d, cap)
 
 
+def _raw_instance(rng):
+    universe = rng.randint(1, 12)
+    constraints = sorted({
+        mask_of(rng.sample(range(universe), rng.randint(1, universe)))
+        for _ in range(rng.randint(1, 3 * universe))
+    })
+    return HittingInstance(universe, tuple(constraints), ())
+
+
 def test_strategies_agree_on_raw_hitting_instances():
     # Random constraint systems overlap in ways that graph-derived ones
     # rarely do, which exercises the packing bound on live parts.
@@ -128,12 +137,7 @@ def test_strategies_agree_on_raw_hitting_instances():
 
     rng = random.Random(17)
     for _ in range(250):
-        universe = rng.randint(1, 12)
-        constraints = sorted({
-            mask_of(rng.sample(range(universe), rng.randint(1, universe)))
-            for _ in range(rng.randint(1, 3 * universe))
-        })
-        inst = HittingInstance(universe, tuple(constraints), ())
+        inst = _raw_instance(rng)
         opt = _exhaustive(inst, None)[0]
         want = [_exhaustive(inst, cap)[:2] for cap in range(opt + 2)]
         # Every valid floor gives the same answer; a cap below the floor
@@ -249,6 +253,31 @@ def test_ic_table_matches_scan_reference():
         assert row["code"] == reference["lexmin_code"][str(row["n"])], row["n"]
 
 
+def test_tie_split_on_raw_hitting_instances():
+    # With the floor at the optimum and an optimal incumbent, _bnb only looks
+    # for a lex-smaller tie, one search per vertex where such a tie first
+    # leaves the incumbent.  Each incumbent here is optimal but not lex-min,
+    # so a cell of the split must find the answer.
+    from prismcode.solver import _bnb, _exhaustive
+
+    rng = random.Random(29)
+    split = 0
+    for _ in range(250):
+        inst = _raw_instance(rng)
+        opt = _exhaustive(inst, None)[0]
+        optima = [
+            code for code in combinations(range(inst.universe), opt)
+            if all(mask_of(code) & c for c in inst.constraints)
+        ]
+        if len(optima) < 2:
+            continue
+        split += 1
+        incumbent = rng.choice(optima[1:])
+        for cap in range(opt + 2):
+            assert _bnb(inst, cap, opt, incumbent)[:2] == _exhaustive(inst, cap)[:2], (inst, cap, incumbent)
+    assert split == 127  # instances with more than one optimum
+
+
 def test_floor_applies_only_to_prisms_of_cycles_at_radius_1():
     prism = complementary_prism(cycle(12))
     swap = list(range(24))
@@ -286,7 +315,7 @@ def test_fallback_search_starts_from_the_pattern_code(monkeypatch):
         raise AssertionError("greedy_code called on the prism route")
 
     monkeypatch.setattr(solver, "greedy_code", no_greedy)
-    for n, nodes in {9: 114, 10: 118, 12: 126}.items():
+    for n, nodes in {9: 41, 10: 43, 12: 51}.items():
         g = complementary_prism(cycle(n))
         for cap in (upper_bound(n)[0], None):
             res = solve_min_idcode(g, 1, SolverOptions(size_cap=cap))
@@ -314,31 +343,40 @@ def test_strategies_agree_at_every_cap_on_fallback_prisms():
 def test_search_never_meets_a_constraint_without_an_allowed_vertex(monkeypatch):
     # _search has no dead-constraint test: its docstring proves every
     # constraint that chosen leaves unhit keeps an allowed vertex.  A node
-    # receives its parent's list, so it must hold, in the root's order,
-    # every root constraint that chosen leaves unhit (only the root has
-    # chosen = 0).  The recursion looks _search up in the module, so the
-    # wrapper sees every node.
-    search, calls, root = solver._search, [0], []
+    # receives its parent's list, so it must hold, in the order of _bnb's
+    # width-sorted list, every constraint that chosen leaves unhit (the
+    # tie split starts several searches from that list, none with chosen =
+    # 0).  A node one vertex short of the incumbent answers from the
+    # constraints' intersection and makes no recursive call.  The recursion
+    # looks _search up in the module, so the wrapper sees every node.
+    search, calls, root, short = solver._search, [0], [], [False]
 
-    def checked(unhit, chosen, allowed, *rest):
+    def checked(unhit, chosen, allowed, best, *rest):
         calls[0] += 1
-        if not chosen:
-            root[:] = unhit
+        assert not short[-1], chosen
         assert all(c & allowed for c in unhit if not c & chosen), (unhit, chosen, allowed)
         assert [c for c in unhit if not c & chosen] == [c for c in root if not c & chosen], chosen
-        return search(unhit, chosen, allowed, *rest)
+        short.append(chosen.bit_count() + 1 == best[0])
+        try:
+            return search(unhit, chosen, allowed, best, *rest)
+        finally:
+            short.pop()
+
+    def solve(g, d):
+        root[:] = sorted(hitting_instance(g, d).constraints, key=int.bit_count)
+        return solve_min_idcode(g, d)
 
     monkeypatch.setattr(solver, "_search", checked)
-    for n, nodes in {9: 114, 10: 118, 12: 126}.items():
-        res = solve_min_idcode(complementary_prism(cycle(n)), 1)
+    for n, nodes in {9: 41, 10: 43, 12: 51}.items():
+        res = solve(complementary_prism(cycle(n)), 1)
         assert (res.size, res.nodes) == (condition_floor(n), nodes), n
-    assert calls[0] == 114 + 118 + 126
+    assert calls[0] == 41 + 43 + 51
     rng = random.Random(19)
     for i in range(60):
         g = random_graph(rng.randint(2, 13), rng, (0.2, 0.5, 0.8)[i % 3])
         for d in (1, 2):
             if hitting_instance(g, d).feasible:
-                res = solve_min_idcode(g, d)
+                res = solve(g, d)
                 assert res.code == solve_min_idcode(g, d, EXH).code, (g, d)
 
 
@@ -363,10 +401,12 @@ def bnb_outcomes():
 
 
 def test_bnb_outcomes_frozen_node_for_node(bnb_outcomes):
-    # The digest covers status, size, code, witness and node count; it was
-    # taken from the search that decided its cuts in five separate tests.
+    # The digest covers status, size, code, witness and node count.  It was
+    # retaken when the tie split and the last-level intersection cut node
+    # counts; test_bnb_answers_frozen, taken before that change, shows that
+    # the answers did not move.
     digest = hashlib.sha256(repr(bnb_outcomes).encode()).hexdigest()
-    assert digest == "e84e3ddbfe804653a009a68b6229a28a02de69848f055c2166d5b77fb6d45633"
+    assert digest == "72db92fee46edadb2f7be6872e7b10c32771a1d9dd7b42d9bf14961d91d7ec56"
 
 
 def test_bnb_answers_frozen(bnb_outcomes):
@@ -392,7 +432,7 @@ def test_search_deeper_than_the_recursion_limit():
         restored = sys.getrecursionlimit()
         sys.setrecursionlimit(limit)
     assert restored == depth + 40
-    assert (res.status, res.size, res.code, res.nodes) == (OPTIMAL, 79, tuple(range(79)), 159)
+    assert (res.status, res.size, res.code, res.nodes) == (OPTIMAL, 79, tuple(range(79)), 157)
 
 
 def test_transfer_route_cap_below_floor():
