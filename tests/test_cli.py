@@ -411,6 +411,10 @@ def test_transcript_frozen(capsys, tmp_path, prism9, pattern9):
     assert {int(t.split()[0]) for t in transcript} == {0, 1, 2, 64}
     digest = hashlib.sha256("".join(transcript).encode()).hexdigest()
     assert digest == "f6cda67001dc7df1dcb71c404e698e790516c37536cd68b574b2f579f3c57437"
+    # The same transcript with every node count masked as well: a change to
+    # the search may move node counts, but never anything else printed.
+    masked = re.sub(r'^(nodes |.*"nodes": )[0-9]+', r"\g<1>0", "".join(transcript), flags=re.M)
+    assert hashlib.sha256(masked.encode()).hexdigest() == "4b1a44d14297f3e0bf4740dfb5c353dfedb3bad128744f7a82e0682c39bc98b8"
 
 
 def test_scan_text_and_json(capsys):
