@@ -27,7 +27,8 @@ bound on gamma^ID.  lexmin_pair(n) is the lex-min pair of that size: a
 fixed head for n % 9, then repeated 9-column blocks.  Both were read off
 a column transfer DP over the conditions, which the tests keep as the
 reference; a shortest-path potential there certifies the floor as a
-lower bound for every n >= 9.
+lower bound for every n >= 9.  At n = 9, 10 and 12, where the pair does
+not identify, the lex-min optimal code is stored instead.
 """
 
 from __future__ import annotations
@@ -336,6 +337,14 @@ _LEXMIN_HEAD = (
     "111103020", "1111103020", "30101030220", "111111103020",
     "1110", "11110", "111110", "1111110", "11103020",
 )
+# The lex-min optimal codes, as 0-based prism vertices, at the three n
+# where lexmin_pair(n) does not identify.  Each has condition_floor(n)
+# members, so it is optimal once it identifies.
+_LEXMIN_OPTIMA = {
+    9: (0, 1, 2, 5, 13, 14, 16),
+    10: (0, 1, 2, 3, 6, 15, 16, 18),
+    12: (0, 1, 2, 3, 4, 5, 8, 19, 20, 22),
+}
 
 
 def condition_floor(n: int) -> int:
@@ -369,7 +378,8 @@ def lexmin_pair(n: int) -> CodePair:
     the floor, every optimal code is a clean pair of the floor's size and
     so a candidate too, and L is the lex-min optimal code.  When L does
     not identify (n = 9, 10 and 12 among 9..512), nothing follows beyond
-    the floor.
+    the floor; _LEXMIN_OPTIMA holds the lex-min optimal code there, which
+    the tests find again by branch and bound and by exhaustive search.
     """
     _require_scope(n)
     head = _LEXMIN_HEAD[n % 9]

@@ -34,26 +34,20 @@ completion can sort before the incumbent (see `_search`).  A node one
 vertex short of the incumbent's size makes no pass and has no child:
 only one more vertex, shared by every constraint it leaves unhit, can
 complete it, so it intersects those constraints and answers at once.
-When the floor equals the incumbent's size, only a lexicographically
-smaller tie can replace the incumbent, and `_bnb` splits the search at
-the root, one search per vertex where such a tie first leaves the
-incumbent (see `_bnb`).
 
 On the prism of C_n with n >= 9 at d = 1, the branch-and-bound strategy
-first takes two closed forms from `cycleprism`: `condition_floor` is the
-least size of a code pair meeting the necessary condition system, and
-`lexmin_pair` the lex-min such pair.  A size cap below the floor is
-answered cap-exceeded at once; a lex-min pair that passes `verify_code`
-is the answer, with nodes = 0 (every optimal code is a clean pair of at
-least the floor's size, so it is optimal and lex-min among the optima).
-Otherwise (n = 9, 10 and 12, where the conditions are not sufficient)
-the search runs from the floor as a lower bound, seeded with
-`pattern_code(n)` once `verify_code` confirms it.  At those n the
-pattern code already has the floor's size, so the optimum is known at
-the root and the search only looks for a lexicographically smaller tie,
-split at the root as above.  Other inputs take neither the closed forms
-nor the floor, and are seeded with `idcode.greedy_code`; the exhaustive
-strategy takes none of them.
+does not search.  `cycleprism.condition_floor` is the least size of a
+code pair meeting the necessary condition system, so a size cap below it
+is answered cap-exceeded at once.  Otherwise the answer is the lex-min
+such pair, `lexmin_pair(n)`, or at n = 9, 10 and 12, where the
+conditions are not sufficient and that pair does not identify, the
+stored lex-min optimal code.  It is returned with nodes = 0 once
+`verify_code` accepts it and its size is the floor, which proves it
+optimal.  The pair is then lex-min among the optima too, since every
+optimal code is a clean pair of at least the floor's size; the tests
+find each stored code again by search.  Other inputs are seeded with
+`idcode.greedy_code` and searched with no floor; the exhaustive strategy
+takes neither route.
 That shared canonical answer is the determinism contract: strategies
 agree on everything except wall-clock time and node counts, and repeated
 runs on everything except wall-clock time.
@@ -71,7 +65,8 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .cycleprism import (
-    _prism, condition_floor, lexmin_pair, lower_bound, pattern_code, prism_cycle_length, upper_bound, verify_code,
+    _LEXMIN_OPTIMA, CodePair, _prism, condition_floor, lexmin_pair, lower_bound, pattern_code, prism_cycle_length,
+    upper_bound, verify_code,
 )
 from .graphs import Graph, PrismIndexing, bits, mask_of
 from .idcode import HitTables, HittingInstance, greedy_code, hitting_instance, vertex_label
@@ -125,7 +120,7 @@ def solve_min_idcode(g: Graph, d: int, options: Optional[SolverOptions] = None) 
     With a size cap, CAP_EXCEEDED certifies that no code of size <= cap
     exists; OPTIMAL results are always true optima, and the reported code
     is the lexicographically smallest one of optimal size.  nodes is 0
-    when the closed-form pair answers (see the module docstring).
+    on the prism of C_n with n >= 9 at d = 1 (see the module docstring).
     """
     opts = options or SolverOptions()
     start = time.perf_counter()
@@ -134,12 +129,10 @@ def solve_min_idcode(g: Graph, d: int, options: Optional[SolverOptions] = None) 
         if opts.size_cap is not None and opts.size_cap < floor:
             return SolverResult(CAP_EXCEEDED, elapsed=time.perf_counter() - start)
         n = g.order // 2
-        pair = lexmin_pair(n)
-        if verify_code(pair):
-            return SolverResult(OPTIMAL, size=floor, code=pair.vertices(), elapsed=time.perf_counter() - start)
-        pattern = pattern_code(n)
-        if not verify_code(pattern):
-            raise AssertionError(f"pattern_code({n}) does not identify")
+        code = CodePair.from_vertices(n, _LEXMIN_OPTIMA[n]) if n in _LEXMIN_OPTIMA else lexmin_pair(n)
+        if code.size != floor or not verify_code(code):
+            raise AssertionError(f"{code.vertices()} is not an identifying code of size {floor} of the prism of C_{n}")
+        return SolverResult(OPTIMAL, size=floor, code=code.vertices(), elapsed=time.perf_counter() - start)
     inst = hitting_instance(g, d)
     if not inst.feasible:
         return SolverResult(
@@ -149,7 +142,7 @@ def solve_min_idcode(g: Graph, d: int, options: Optional[SolverOptions] = None) 
     if opts.strategy == "exhaustive":
         size, code, nodes = _exhaustive(inst, opts.size_cap)
     else:
-        size, code, nodes = _bnb(inst, opts.size_cap, floor, pattern.vertices() if floor else None)
+        size, code, nodes = _bnb(inst, opts.size_cap)
     elapsed = time.perf_counter() - start
     if size is None:
         return SolverResult(CAP_EXCEEDED, nodes=nodes, elapsed=elapsed)
@@ -252,8 +245,8 @@ def _search(
     c & allowed each need a vertex of their own, since every vertex added
     comes from allowed) and the first narrowest live part P, whose
     vertices are the children, lowest first.  No live part is ever empty:
-    at a root of `_bnb` every constraint chosen leaves unhit has an
-    allowed vertex (see there), and a child's own constraints are its
+    at `_bnb`'s root nothing is chosen, every vertex is allowed and no
+    constraint is empty, and a child's own constraints are its
     parent's that the child's vertex misses, so one with no allowed vertex
     left would, at the parent, have had its live part among P's vertices
     before the child's, so narrower than P.  That is why a node with
@@ -324,60 +317,36 @@ def _search(
     return best
 
 
-def _bnb(inst: HittingInstance, cap: Optional[int], floor: int, incumbent: Optional[tuple[int, ...]] = None):
-    """Lex-min optimal hitting set by branch and bound, seeded by an incumbent hitting set.
+def _bnb(inst: HittingInstance, cap: Optional[int], floor: int = 0):
+    """Lex-min optimal hitting set by branch and bound, seeded by the greedy code.
 
     floor must not exceed the optimum; the search starts from it as a
-    lower bound on every hitting set.  The incumbent defaults to the
-    greedy code; one larger than cap gives way to the bare bound cap + 1.
-    The node count is the number of `_search` calls.
-
-    One search runs from the root (nothing chosen, every vertex allowed),
-    unless floor equals the size of the incumbent B: then B is optimal and
-    only a smaller set S of its size, in the lex order, can replace it.
-    S first differs from B at a vertex f outside B that S holds, so S is
-    (B below f) | f | (some vertices above f).  The search is split into
-    one cell per such f, in increasing order, each a `_search` from
-    chosen = (B below f) | f with the vertices above f allowed; the cells
-    stop at the first f whose chosen part is larger than B, and after the
-    first cell that finds a tie, since every set of a later cell sorts
-    after that tie.  B hits every constraint and none of its
-    vertices below f is missing from chosen, so every constraint a cell
-    root leaves unhit holds a vertex of B above f, an allowed one.
+    lower bound on every hitting set.  `solve_min_idcode` leaves it at 0,
+    as it answers the prisms of C_n, the one family with a known floor,
+    without a search.  The floor's users are the reference checks:
+    `tests/test_transfer.py` searches from `condition_floor(n)` to check
+    `lexmin_pair(n)` and the stored codes, and CI to check `lexmin_pair(n)`
+    at larger n (the prism of C_19 takes 12,325 nodes from the floor and
+    349,023 without it); `tests/test_solver.py` runs the search from every
+    valid floor on raw instances.
+    A greedy code larger than cap gives way to the bare bound cap + 1.
+    One search runs from the root, nothing chosen and every vertex
+    allowed; the node count is the number of `_search` calls.
 
     Each level of the search adds one vertex, so it nests up to universe + 1
     calls deep, which can pass Python's default recursion limit of 1000
     (order 1024, say); the limit is raised by that much while it runs.
     """
-    if incumbent is None:
-        incumbent = greedy_code(inst)
-    if cap is None or cap >= len(incumbent):
-        seed = (len(incumbent), mask_of(incumbent))
-    else:
-        seed = (cap + 1, None)
+    code = greedy_code(inst)
+    best = (len(code), mask_of(code)) if cap is None or cap >= len(code) else (cap + 1, None)
     unhit = sorted(inst.constraints, key=int.bit_count)
-    full = (1 << inst.universe) - 1
-    size, mask = seed
-    cells = [(0, full)]
-    if floor == size and mask is not None:
-        cells = []
-        for f in bits(full & ~mask):
-            fixed = mask & (1 << f) - 1 | 1 << f
-            if fixed.bit_count() > size:
-                break
-            cells.append((fixed, full & -(2 << f)))
     counter = [0]
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + inst.universe + 1)
-    best = seed
     try:
-        for chosen, allowed in cells:
-            best = _search(unhit, chosen, allowed, best, counter, floor)
-            if best != seed:
-                break
+        size, mask = _search(unhit, 0, (1 << inst.universe) - 1, best, counter, floor)
     finally:
         sys.setrecursionlimit(limit)
-    size, mask = best
     if mask is None:
         return None, None, counter[0]
     return size, tuple(bits(mask)), counter[0]

@@ -29,7 +29,7 @@ from prismcode.solver import (
     ic_table,
     solve_min_idcode,
 )
-from prismcode.cycleprism import condition_floor, lexmin_pair, upper_bound
+from prismcode.cycleprism import _LEXMIN_OPTIMA, condition_floor, lexmin_pair, upper_bound
 
 import bruteforce as bf
 
@@ -253,31 +253,6 @@ def test_ic_table_matches_scan_reference():
         assert row["code"] == reference["lexmin_code"][str(row["n"])], row["n"]
 
 
-def test_tie_split_on_raw_hitting_instances():
-    # With the floor at the optimum and an optimal incumbent, _bnb only looks
-    # for a lex-smaller tie, one search per vertex where such a tie first
-    # leaves the incumbent.  Each incumbent here is optimal but not lex-min,
-    # so a cell of the split must find the answer.
-    from prismcode.solver import _bnb, _exhaustive
-
-    rng = random.Random(29)
-    split = 0
-    for _ in range(250):
-        inst = _raw_instance(rng)
-        opt = _exhaustive(inst, None)[0]
-        optima = [
-            code for code in combinations(range(inst.universe), opt)
-            if all(mask_of(code) & c for c in inst.constraints)
-        ]
-        if len(optima) < 2:
-            continue
-        split += 1
-        incumbent = rng.choice(optima[1:])
-        for cap in range(opt + 2):
-            assert _bnb(inst, cap, opt, incumbent)[:2] == _exhaustive(inst, cap)[:2], (inst, cap, incumbent)
-    assert split == 127  # instances with more than one optimum
-
-
 def test_floor_applies_only_to_prisms_of_cycles_at_radius_1():
     prism = complementary_prism(cycle(12))
     swap = list(range(24))
@@ -297,41 +272,53 @@ def test_floor_applies_only_to_prisms_of_cycles_at_radius_1():
 
 def test_transfer_route_answers_prisms_of_cycles_without_search():
     # The lex-min pair identifies for every n here but 9, 10 and 12; there the
-    # conditions are not sufficient, and branch and bound answers from the floor.
+    # conditions are not sufficient, and the stored lex-min optimal code answers.
     for n in range(9, 31):
         res = solve_min_idcode(complementary_prism(cycle(n)), 1)
-        assert res.status == OPTIMAL and res.size == condition_floor(n), n
+        assert (res.status, res.size, res.nodes) == (OPTIMAL, condition_floor(n), 0), n
         if n in (9, 10, 12):
-            assert res.nodes > 0 and res.code != lexmin_pair(n).vertices()
+            assert res.code == _LEXMIN_OPTIMA[n] != lexmin_pair(n).vertices()
         else:
-            assert res.nodes == 0 and res.code == lexmin_pair(n).vertices(), n
+            assert res.code == lexmin_pair(n).vertices(), n
 
 
-def test_fallback_search_starts_from_the_pattern_code(monkeypatch):
-    # At n = 9, 10 and 12 the pattern code already has the floor's size, so
-    # the search only looks for the lex-min tie, capped at the exact upper
-    # bound or not.  The greedy code is never built on this route.
-    def no_greedy(inst):
-        raise AssertionError("greedy_code called on the prism route")
+def test_fallback_prisms_answer_from_the_stored_codes(monkeypatch):
+    # At n = 9, 10 and 12, capped at the exact upper bound or not, the answer
+    # is the exhaustive strategy's, with no hitting instance, greedy code or
+    # search built on the way.
+    want = {
+        (n, cap): solve_min_idcode(complementary_prism(cycle(n)), 1, SolverOptions("exhaustive", cap)).code
+        for n in (9, 10, 12) for cap in (upper_bound(n)[0], None)
+    }
 
-    monkeypatch.setattr(solver, "greedy_code", no_greedy)
-    for n, nodes in {9: 41, 10: 43, 12: 51}.items():
-        g = complementary_prism(cycle(n))
-        for cap in (upper_bound(n)[0], None):
-            res = solve_min_idcode(g, 1, SolverOptions(size_cap=cap))
-            assert (res.status, res.size, res.nodes) == (OPTIMAL, condition_floor(n), nodes), (n, cap)
-            assert res.code == solve_min_idcode(g, 1, SolverOptions("exhaustive", cap)).code, (n, cap)
+    def unused(*args):
+        raise AssertionError("the prism route built a hitting instance or a greedy code")
+
+    monkeypatch.setattr(solver, "hitting_instance", unused)
+    monkeypatch.setattr(solver, "greedy_code", unused)
+    for (n, cap), code in want.items():
+        res = solve_min_idcode(complementary_prism(cycle(n)), 1, SolverOptions(size_cap=cap))
+        assert (res.status, res.size, res.code, res.nodes) == (OPTIMAL, condition_floor(n), code, 0), (n, cap)
 
 
-def test_fallback_refuses_a_pattern_code_that_does_not_identify(monkeypatch):
-    monkeypatch.setattr(solver, "pattern_code", lexmin_pair)  # fails verify_code at n = 9
-    with pytest.raises(AssertionError, match="does not identify"):
-        solve_min_idcode(complementary_prism(cycle(9)), 1)
+def test_prism_route_refuses_a_stored_code_that_is_not_optimal(monkeypatch):
+    # The stored code is returned only when it identifies and has the floor's size.
+    for code in (lexmin_pair(9).vertices(), (*_LEXMIN_OPTIMA[9], 17)):
+        monkeypatch.setitem(_LEXMIN_OPTIMA, 9, code)
+        with pytest.raises(AssertionError, match="is not an identifying code of size 7"):
+            solve_min_idcode(complementary_prism(cycle(9)), 1)
+
+
+def test_stored_codes_equal_the_search_without_a_floor():
+    # Branch and bound from floor 0 reads neither the table nor the floor.
+    for n, nodes in {9: 488, 10: 1103, 12: 7072}.items():
+        got = solver._bnb(hitting_instance(complementary_prism(cycle(n)), 1), None)
+        assert got == (condition_floor(n), _LEXMIN_OPTIMA[n], nodes), n
 
 
 def test_strategies_agree_at_every_cap_on_fallback_prisms():
     # test_strategies_agree_at_every_cap stops at C_9; C_10 and C_12 are the
-    # other prisms of cycles where the search runs from the floor.
+    # other prisms of cycles answered from a stored code.
     for n in (10, 12):
         g, floor = complementary_prism(cycle(n)), condition_floor(n)
         for cap in range(floor - 1, floor + 3):
@@ -344,11 +331,11 @@ def test_search_never_meets_a_constraint_without_an_allowed_vertex(monkeypatch):
     # _search has no dead-constraint test: its docstring proves every
     # constraint that chosen leaves unhit keeps an allowed vertex.  A node
     # receives its parent's list, so it must hold, in the order of _bnb's
-    # width-sorted list, every constraint that chosen leaves unhit (the
-    # tie split starts several searches from that list, none with chosen =
-    # 0).  A node one vertex short of the incumbent answers from the
-    # constraints' intersection and makes no recursive call.  The recursion
-    # looks _search up in the module, so the wrapper sees every node.
+    # width-sorted list, every constraint that chosen leaves unhit.  A node
+    # one vertex short of the incumbent answers from the constraints'
+    # intersection and makes no recursive call.  The recursion looks _search
+    # up in the module, so the wrapper sees every node.  The prisms run from
+    # the floor, since solve answers them without a search.
     search, calls, root, short = solver._search, [0], [], [False]
 
     def checked(unhit, chosen, allowed, best, *rest):
@@ -367,10 +354,11 @@ def test_search_never_meets_a_constraint_without_an_allowed_vertex(monkeypatch):
         return solve_min_idcode(g, d)
 
     monkeypatch.setattr(solver, "_search", checked)
-    for n, nodes in {9: 41, 10: 43, 12: 51}.items():
-        res = solve(complementary_prism(cycle(n)), 1)
-        assert (res.size, res.nodes) == (condition_floor(n), nodes), n
-    assert calls[0] == 41 + 43 + 51
+    for n, nodes in {9: 113, 10: 59, 12: 67}.items():
+        inst = hitting_instance(complementary_prism(cycle(n)), 1)
+        root[:] = sorted(inst.constraints, key=int.bit_count)
+        assert solver._bnb(inst, None, condition_floor(n)) == (condition_floor(n), _LEXMIN_OPTIMA[n], nodes), n
+    assert calls[0] == 113 + 59 + 67
     rng = random.Random(19)
     for i in range(60):
         g = random_graph(rng.randint(2, 13), rng, (0.2, 0.5, 0.8)[i % 3])
@@ -404,9 +392,11 @@ def test_bnb_outcomes_frozen_node_for_node(bnb_outcomes):
     # The digest covers status, size, code, witness and node count.  It was
     # retaken when the tie split and the last-level intersection cut node
     # counts; test_bnb_answers_frozen, taken before that change, shows that
-    # the answers did not move.
+    # the answers did not move.  It was retaken again when the prisms of C_9,
+    # C_10 and C_12 were answered from stored codes, which moved only their
+    # 12 node counts (41, 43 and 51 -> 0).
     digest = hashlib.sha256(repr(bnb_outcomes).encode()).hexdigest()
-    assert digest == "72db92fee46edadb2f7be6872e7b10c32771a1d9dd7b42d9bf14961d91d7ec56"
+    assert digest == "2a7b987adee60ea5c16762ea30790ef808e3026a25adec40cf0a86374a8f3693"
 
 
 def test_bnb_answers_frozen(bnb_outcomes):
