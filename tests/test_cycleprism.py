@@ -7,6 +7,7 @@ from BFS balls.  The weak bar-pair instances (offset n-2) are only
 implied by separation, and the test pins down exactly that asymmetry.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -26,6 +27,7 @@ from prismcode.cycleprism import (
     SEP_DISTANCE2,
     CodePair,
     ConditionReport,
+    ExchangeResult,
     Violation,
     check_conditions,
     _window_at,
@@ -302,16 +304,21 @@ def test_condition_report_json():
     assert clean == {"ok": True, "violations": [], "bad_indices": [4, 9], "blind_bar": []}
 
 
-def reference_report(code):
-    """check_conditions' reference: one mask test per condition_masks instance,
-    and the bad and blind positions tested column by column."""
+def reference_columns(code):
+    """The bad and the blind positions, tested column by column."""
     n, x, xbar = code.n, code.x, code.xbar
-    violations = tuple(Violation(c.family, c.indices) for c in condition_masks(n) if not code.vertex_mask & c.mask)
     bad = frozenset(a for a in range(n) if not (x | xbar) >> a & 1)
     blind = frozenset(
         a for a in range(n) if not (xbar >> (a - 1) % n & 1 or x >> a & 1 or xbar >> (a + 1) % n & 1)
     )
-    return ConditionReport(n, violations, bad, blind)
+    return bad, blind
+
+
+def reference_report(code):
+    """check_conditions' reference: one mask test per condition_masks instance,
+    and the bad and blind positions tested column by column."""
+    violations = tuple(Violation(c.family, c.indices) for c in condition_masks(code.n) if not code.vertex_mask & c.mask)
+    return ConditionReport(code.n, violations, *reference_columns(code))
 
 
 def differential_pairs(ns, per_density, seed=13):
@@ -324,6 +331,11 @@ def differential_pairs(ns, per_density, seed=13):
         for p in (0.15, 0.5, 0.85):
             for _ in range(per_density):
                 yield CodePair(n, row(n, p), row(n, p))
+
+
+def test_bad_and_blind_methods_equal_column_reference():
+    for code in differential_pairs(range(9, 41), per_density=4):
+        assert (code.bad_indices(), code.blind_bar()) == reference_columns(code), code
 
 
 def test_check_conditions_equals_mask_reference():
@@ -369,14 +381,16 @@ def test_exchange_on_doubled_window():
     assert len(improved.bad_indices()) == len(code.bad_indices()) - 1
 
 
+def per_column(code, start):
+    """Do both rows read WINDOW_ROW from column start on, tested column by column?"""
+    return all(
+        (code.x >> (start + k) % code.n & 1) == want == (code.xbar >> (start + k) % code.n & 1)
+        for k, want in enumerate(WINDOW_ROW)
+    )
+
+
 def test_window_at_matches_per_column_reference():
     # every start, so windows that wrap past column n - 1 are covered
-    def per_column(code, start):
-        return all(
-            (code.x >> (start + k) % code.n & 1) == want == (code.xbar >> (start + k) % code.n & 1)
-            for k, want in enumerate(WINDOW_ROW)
-        )
-
     rng = random.Random(9)
     for n in (9, 10, 13, 20):
         for start in range(n):
@@ -404,3 +418,84 @@ def test_exchange_improved_invariants_from_enumeration():
                 assert result.code.size <= code.size
                 assert len(result.code.bad_indices()) < len(code.bad_indices())
     assert checked > 0
+
+
+def exchange_codes(ns, seed=27):
+    """Codes on which exchange does more than reject, for each n:
+    four "opened" pattern codes, built as the benchmark builds them (in a
+    seeded 9-block the cycle vertices at 1 and 2 are swapped for the bar
+    vertices at 0 and 3, leaving two empty columns), with 0..3 seeded
+    flips; two pattern codes with the rigid window planted in both rows
+    at a seeded start; and four seeded pairs with a sparse cycle row and
+    a dense bar row, with two adjacent columns cleared at a seeded start."""
+    rng = random.Random(seed)
+    window = sum(bit << k for k, bit in enumerate(WINDOW_ROW))
+    for n in ns:
+        for _ in range(4):
+            cleared = ~(3 << rng.randrange(n - 1))
+            yield CodePair(n, rng.getrandbits(n) & rng.getrandbits(n) & cleared, (rng.getrandbits(n) | rng.getrandbits(n)) & cleared)
+        for flips in range(4):
+            a = 9 * rng.randrange(n // 9)
+            mask = pattern_code(n).vertex_mask ^ (0b110 << a | 0b1001 << n + a)
+            for v in rng.sample(range(2 * n), flips):
+                mask ^= 1 << v
+            yield CodePair.from_vertex_mask(n, mask)
+        for start in rng.sample(range(n), 2):
+            rotate = lambda row: (row << start | row >> n - start) & (1 << n) - 1
+            span, planted = rotate((1 << 9) - 1), rotate(window)
+            pat = pattern_code(n)
+            yield CodePair(n, pat.x & ~span | planted, pat.xbar & ~span | planted)
+
+
+def reference_exchanges(code, prism, anchors=None):
+    """exchange(code, a) for every anchor a (or the given ones), as its
+    docstring states it, on sets of positions: the hypothesis and the
+    empty columns come from reference_columns, each rewrite is checked by
+    is_identifying_code on the given prism of C_n, and the window by
+    per_column."""
+    n = code.n
+    cycle_side = {p for p in range(n) if code.x >> p & 1}
+    bar_side = {p for p in range(n) if code.xbar >> p & 1}
+    bad, blind = reference_columns(code)
+
+    def one(a):
+        at = lambda *steps: {(a + s) % n for s in steps}
+        if len(bar_side) < 6 or not at(0, 1) <= bad or at(-5, 0, 1, 6) & blind:
+            return ExchangeResult(NOT_APPLICABLE)
+        rewrites = ((cycle_side | at(0, 1), bar_side - at(-1, 2)), (cycle_side - at(2), bar_side | at(1)))
+        for cyc, bar in rewrites:
+            vertices = sorted(cyc) + [n + p for p in sorted(bar)]
+            empty = set(range(n)) - cyc - bar
+            if len(vertices) <= code.size and len(empty) < len(bad) and is_identifying_code(prism, 1, vertices).valid:
+                return ExchangeResult(IMPROVED, code=CodePair.from_vertices(n, vertices))
+        for start in ((a - 1) % n, (a - 6) % n):
+            if per_column(code, start):
+                return ExchangeResult(PATTERN_DETECTED, window_start=start)
+        return ExchangeResult(NOT_APPLICABLE)
+
+    return [one(a) for a in (range(n) if anchors is None else anchors)]
+
+
+def test_exchange_equals_set_reference():
+    ns = range(9, 41)
+    prisms = {n: complementary_prism(cycle(n)) for n in ns}  # graphs of their own, as in the reference
+    kinds = set()
+    for code in itertools.chain(differential_pairs(ns, per_density=4), exchange_codes(ns)):
+        got = [exchange(code, a) for a in range(code.n)]
+        assert got == reference_exchanges(code, prisms[code.n]), code
+        kinds.update(result.kind for result in got)
+    assert kinds == {IMPROVED, PATTERN_DETECTED, NOT_APPLICABLE}
+
+
+def test_exchange_equals_set_reference_on_all_open_pairs_at_n10():
+    # Every pair for C_10 with columns 0 and 1 empty and at least 6 bar
+    # members, at anchor 0.  Some of them turn on the blind screens at
+    # a - 5 and a + 6 alone, which seeded pairs meet about once in 3,000.
+    n = 10
+    prism = complementary_prism(cycle(n))
+    for bars in range(6, n - 1):
+        for bar_side in itertools.combinations(range(2, n), bars):
+            xbar = sum(1 << p for p in bar_side)
+            for x in range(0, 1 << n, 4):
+                code = CodePair(n, x, xbar)
+                assert [exchange(code, 0)] == reference_exchanges(code, prism, [0]), code
