@@ -110,7 +110,7 @@ class CodePair:
 
     def bad_indices(self) -> frozenset:
         """Positions whose column is all-zero: neither the cycle nor the bar vertex chosen."""
-        return frozenset(bits((1 << self.n) - 1 & ~(self.x | self.xbar)))
+        return frozenset(bits(_bad_row(self.n, self.x, self.xbar)))
 
     def blind_bar(self) -> frozenset:
         """Positions a with xbar[a-1] = x[a] = xbar[a+1] = 0.
@@ -118,7 +118,7 @@ class CodePair:
         The bar vertex at such a position meets the code in exactly the
         whole bar side, so any two blind positions are unseparated.
         """
-        return frozenset(bits(_missed(self.n, *_doubled(self.n, self.x, self.xbar), *_BLIND)))
+        return frozenset(bits(_blind_row(self.n, self.x, self.xbar)))
 
 
 class Condition(NamedTuple):
@@ -199,8 +199,14 @@ def _missed(n: int, x, xbar, cycle_offsets: tuple[int, ...], bar_offsets: tuple[
     return (1 << n) - 1 & ~hit
 
 
-def _indices(a: int, step: Optional[int], n: int) -> tuple[int, ...]:
-    return (a,) if step is None else (a, (a + step) % n)
+def _bad_row(n: int, x: int, xbar: int) -> int:
+    """Row of the all-zero columns."""
+    return (1 << n) - 1 & ~(x | xbar)
+
+
+def _blind_row(n: int, x: int, xbar: int) -> int:
+    """Row of the blind positions: the anchors whose blind window misses the code."""
+    return _missed(n, *_doubled(n, x, xbar), *_BLIND)
 
 
 def _bar_sep_pairs(positions: list[int], n: int) -> Iterator[tuple[int, int]]:
@@ -242,7 +248,7 @@ def condition_masks(n: int) -> tuple[Condition, ...]:
         if family == BAR_SEP:
             out += [Condition(family, (a, b), masks[a] | masks[b]) for a, b in _bar_sep_pairs(list(range(n)), n)]
         else:
-            out += [Condition(family, _indices(a, step, n), masks[a]) for a in range(n)]
+            out += [Condition(family, (a,) if step is None else (a, (a + step) % n), masks[a]) for a in range(n)]
     return tuple(out)
 
 
@@ -251,23 +257,28 @@ def check_conditions(code: CodePair) -> ConditionReport:
 
     Each family is evaluated on whole rows: the anchors whose windows
     miss the code are the complement of the OR of the code's rows rotated
-    by the family's offsets.  BAR_SEP instances are violated exactly at
-    the pairs of blind positions, so the check costs O(n + blind^2)
-    integer operations, not one mask test per instance.  BAR_SEP's missed
-    row is the blind window's, so it also gives the report's blind_bar.
+    by the family's offsets, one _missed call per family.  A family whose
+    missed row is 0 costs nothing more; otherwise each set bit becomes one
+    violation.  BAR_SEP instances are violated exactly at the pairs of
+    blind positions, and BAR_SEP's missed row is the blind window's, so
+    it also gives the report's blind_bar; bad_indices is the complement
+    of the OR of the two rows.  A call costs about twenty shifts and ORs
+    of 2n-bit integers, two frozensets and one tuple per violation, and
+    never one mask test per instance.
     """
-    n = code.n
+    n, x, xbar = code.n, code.x, code.xbar
     _require_scope(n)
-    rows = _doubled(n, code.x, code.xbar)
+    doubled_x, doubled_xbar = _doubled(n, x, xbar)
     violations: list[Violation] = []
     for family, cycle_offsets, bar_offsets, step in _WINDOWS:
-        missed = list(bits(_missed(n, *rows, cycle_offsets, bar_offsets)))
+        missed = _missed(n, doubled_x, doubled_xbar, cycle_offsets, bar_offsets)
         if family == BAR_SEP:
             blind = missed
-            violations += [Violation(family, pair) for pair in _bar_sep_pairs(missed, n)]
-        else:
-            violations += [Violation(family, _indices(a, step, n)) for a in missed]
-    return ConditionReport(n, tuple(violations), code.bad_indices(), frozenset(blind))
+            if missed & missed - 1:  # two or more blind positions
+                violations += [Violation(family, pair) for pair in _bar_sep_pairs(list(bits(missed)), n)]
+        elif missed:
+            violations += [Violation(family, (a,) if step is None else (a, (a + step) % n)) for a in bits(missed)]
+    return ConditionReport(n, tuple(violations), frozenset(bits(_bad_row(n, x, xbar))), frozenset(bits(blind)))
 
 
 @lru_cache(maxsize=64)
@@ -405,26 +416,30 @@ def exchange(code: CodePair, a: int) -> ExchangeResult:
     larger size with strictly fewer empty columns wins.  When neither
     does, the code must contain the rigid window (both rows equal to
     100101001) starting at a-1 or a-6, reported as PATTERN_DETECTED.
+
+    The screens run cheapest first, all on the row integers: the bar
+    count, the two columns, then the blind row (one _missed call).  Each
+    rewrite is a pair of rows whose size and empty-column count are bit
+    counts; only a rewrite that passes both becomes a CodePair and goes
+    to verify_code, the one step whose cost grows with n: it ANDs the
+    code with each of the prism's 2n balls and compares the views.  A
+    call that fails the hypothesis builds nothing but its result.
     """
     n = code.n
     _require_scope(n)
     if not 0 <= a < n:
         raise ValueError(f"position {a} outside 0..{n - 1}")
-    bit = lambda p: 1 << p % n
-    hypothesis = (
-        code.xbar.bit_count() >= 6
-        and not (code.x | code.xbar) & (bit(a) | bit(a + 1))
-        and not {a % n, (a + 1) % n, (a - 5) % n, (a + 6) % n} & code.blind_bar()
-    )
-    if not hypothesis:
+    x, xbar = code.x, code.xbar
+    bit = lambda step: 1 << (a + step) % n
+    columns = bit(0) | bit(1)
+    if xbar.bit_count() < 6 or (x | xbar) & columns or _blind_row(n, x, xbar) & (columns | bit(-5) | bit(6)):
         return ExchangeResult(NOT_APPLICABLE)
-    rewrites = (
-        CodePair(n, code.x | bit(a) | bit(a + 1), code.xbar & ~(bit(a - 1) | bit(a + 2))),
-        CodePair(n, code.x & ~bit(a + 2), code.xbar | bit(a + 1)),
-    )
-    bad_before = len(code.bad_indices())
-    for cand in rewrites:
-        if cand.size <= code.size and len(cand.bad_indices()) < bad_before and verify_code(cand):
+    size, bad = x.bit_count() + xbar.bit_count(), _bad_row(n, x, xbar).bit_count()
+    for new_x, new_xbar in ((x | columns, xbar & ~(bit(-1) | bit(2))), (x & ~bit(2), xbar | bit(1))):
+        if new_x.bit_count() + new_xbar.bit_count() > size or _bad_row(n, new_x, new_xbar).bit_count() >= bad:
+            continue
+        cand = CodePair(n, new_x, new_xbar)
+        if verify_code(cand):
             return ExchangeResult(IMPROVED, code=cand)
     for start in ((a - 1) % n, (a - 6) % n):
         if _window_at(code, start):
