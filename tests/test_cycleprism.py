@@ -421,13 +421,14 @@ def test_exchange_improved_invariants_from_enumeration():
 
 
 def exchange_codes(ns, seed=27):
-    """Codes on which exchange does more than reject, for each n:
-    four "opened" pattern codes, built as the benchmark builds them (in a
-    seeded 9-block the cycle vertices at 1 and 2 are swapped for the bar
-    vertices at 0 and 3, leaving two empty columns), with 0..3 seeded
-    flips; two pattern codes with the rigid window planted in both rows
-    at a seeded start; and four seeded pairs with a sparse cycle row and
-    a dense bar row, with two adjacent columns cleared at a seeded start."""
+    """Codes on which exchange does more than reject, for each n: four
+    seeded pairs with a sparse cycle row and a dense bar row, with two
+    adjacent columns cleared at a seeded start; four "opened" pattern
+    codes, built as the benchmark builds them (in a seeded 9-block the
+    cycle vertices at 1 and 2 are swapped for the bar vertices at 0 and
+    3, leaving two empty columns), with 0..3 seeded flips; and two
+    pattern codes with the rigid window planted in both rows at a seeded
+    start."""
     rng = random.Random(seed)
     window = sum(bit << k for k, bit in enumerate(WINDOW_ROW))
     for n in ns:
