@@ -39,7 +39,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .graphs import Graph, ball_table, bits, complementary_prism, cycle
-from .idcode import verification_report
+from .idcode import _identifies
 
 DOMINATION = "dom"                     # a cycle vertex's view of the code is empty
 SEP_ADJACENT = "sep-adjacent"          # cycle vertices one step apart see the same view
@@ -301,11 +301,11 @@ def prism_cycle_length(g: Graph) -> Optional[int]:
 def verify_code(code: CodePair) -> bool:
     """Is the pair an identifying code of the prism of C_n?
 
-    Decided by the definitional verifier on the prism graph, whose
-    radius-1 ball table the cached prism keeps.
+    Decided by the definitional verifier's test on the prism graph, whose
+    radius-1 ball table the cached prism keeps; no report is built.
     """
     _require_scope(code.n)
-    return verification_report(ball_table(_prism(code.n), 1), code.vertex_mask).valid
+    return _identifies(ball_table(_prism(code.n), 1), code.vertex_mask)
 
 
 _CYCLE_BIT = str.maketrans("0123", "0101")  # a column's cycle bit, as a digit

@@ -264,14 +264,16 @@ def closed_twins(g: Graph, d: int) -> tuple[tuple[int, int], ...]:
 
 
 def random_graph(order: int, rng, p: float = 0.5) -> Graph:
-    """Erdos-Renyi draw using rng.random(); deterministic in rng state."""
-    edges = [
-        (u, v)
-        for u in range(order)
-        for v in range(u + 1, order)
-        if rng.random() < p
-    ]
-    return Graph.from_edges(order, edges)
+    """Erdos-Renyi draw, one rng.random() per pair u < v in lexicographic order; deterministic in rng state."""
+    draw, rows = rng.random, [0] * order
+    for u in range(order):
+        bit, row = 1 << u, 0
+        for v in range(u + 1, order):
+            if draw() < p:
+                row |= 1 << v
+                rows[v] |= bit
+        rows[u] |= row
+    return Graph(order, rows)
 
 
 def format_graph(g: Graph, comments: Sequence[str] = ()) -> str:

@@ -76,31 +76,26 @@ def is_identifying_code(g: Graph, d: int, code: Iterable[int]) -> VerificationRe
     return verification_report(ball_table(g, d), mask_of(code))
 
 
+def _identifies(balls: Sequence[int], code_mask: int) -> bool:
+    """Are the code's views, ball & code_mask, all nonempty and pairwise distinct?"""
+    views = {ball & code_mask for ball in balls}
+    return len(views) == len(balls) and 0 not in views
+
+
 def verification_report(balls: Sequence[int], code_mask: int) -> VerificationReport:
     """is_identifying_code's report for the code given as a vertex bitmask.
 
-    A valid code, whose views are all nonempty and pairwise distinct,
-    is answered from one set of the views; the scan for the first
-    failure runs only when that test fails.
+    The first failure is scanned for only when _identifies rejects the code.
     """
     if code_mask >> len(balls):
         raise ValueError("code mentions vertices outside the graph")
-    views = [ball & code_mask for ball in balls]
-    distinct = set(views)
-    if len(distinct) == len(views) and 0 not in distinct:
+    if _identifies(balls, code_mask):
         return VerificationReport(True)
-    for u, view in enumerate(views):
-        if not view:
-            return VerificationReport(False, VerificationFailure("empty-ball", (u,)))
-    seen: dict[int, int] = {}
-    clash: Optional[tuple[int, int]] = None
-    for u, view in enumerate(views):
-        if view in seen:
-            pair = (seen[view], u)
-            if clash is None or pair < clash:
-                clash = pair
-        else:
-            seen[view] = u
+    views = [ball & code_mask for ball in balls]
+    if 0 in views:
+        return VerificationReport(False, VerificationFailure("empty-ball", (views.index(0),)))
+    first = {view: u for u, view in reversed(list(enumerate(views)))}  # each view's smallest vertex
+    clash = min((first[view], u) for u, view in enumerate(views) if first[view] < u)
     return VerificationReport(False, VerificationFailure("unseparated", clash))
 
 

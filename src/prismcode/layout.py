@@ -6,17 +6,17 @@ covered vertices are equivalent when their closed neighborhoods agree
 outside V_s; the number of classes, maximized over nodes, measures how
 tangled the graph is with respect to that layout.
 
-class_profile counts every node in one bottom-up pass: a node's classes
-are its children's classes with its own cover cleared, so a node costs
-its children's class counts rather than its cover size, and a whole
-tree at most the sum of its cover sizes.  LayoutTree.postorder is the
-one walk, by explicit stack: equality and hashing compare its leaf
-labels, format_layout, class_profile and prism_layout fold it bottom up,
-and parse_layout is one shift-reduce pass, so trees as deep as the order
-limit work.  The tree builders, balanced_layout_tree and
-random_layout_tree, recurse, but only as deep as the trees they build:
-about log2(order) for the balanced one and O(log order) expected for
-random splits.
+class_profile counts every node in one bottom-up pass: a leaf stays a
+bare signature, its count of 1 seeded, and only internal nodes build and
+yield a class set, their children's classes with their cover cleared.  A
+node so costs its children's class counts, a tree at most the sum of its
+cover sizes.  LayoutTree.postorder is the one walk, by explicit stack:
+equality and hashing compare its leaf labels, format_layout,
+class_profile and prism_layout fold it bottom up, and parse_layout is one
+shift-reduce pass, so trees as deep as the order limit work.  The tree
+builders, balanced_layout_tree and random_layout_tree, recurse, but only
+as deep as the trees they build: about log2(order) for the balanced one
+and O(log order) expected for random splits.
 
 The point proved here: lifting a layout tree to the complementary prism,
 by replacing each leaf u with a cherry over u and its bar partner, at
@@ -167,24 +167,28 @@ class ClassCountProfile:
 
 
 def _class_sets(g: Graph, t: LayoutTree) -> Iterator[tuple[LayoutTree, set[int]]]:
-    """Each node of t in postorder with its set of class signatures.
+    """Each internal node of t in postorder with its set of class signatures.
 
     One postorder pass merges class sets bottom up.  A leaf v has the one
-    signature N[v] minus v; an internal node takes the union of its
-    children's signatures with its own cover cleared, which is exact since
-    each child's cover lies inside the parent's.  A node so costs its
-    children's class counts, not its cover size.
+    signature N[v] minus v, g.adj[v], kept as a bare int and not yielded.
+    An internal node takes the union of its children's signatures with
+    its own cover cleared, which is exact since each child's cover lies
+    inside the parent's.  A node so costs its children's class counts,
+    not its cover size.
     """
     _check_cover(t, g.order)
-    classes: list[set[int]] = []  # class sets of finished subtrees awaiting their parent
+    classes: list = []  # finished subtrees awaiting their parent: a leaf's signature, or a class set
     for node in t.postorder():
         if node.vertex is not None:
-            merged = {g.adj[node.vertex]}
-        else:
-            keep = ~node.leaf_mask
-            right = classes.pop()
-            merged = {sig & keep for sig in classes.pop()}
+            classes.append(g.adj[node.vertex])
+            continue
+        keep = ~node.leaf_mask
+        right, left = classes.pop(), classes.pop()
+        merged = {sig & keep for sig in left} if type(left) is set else {left & keep}
+        if type(right) is set:
             merged.update([sig & keep for sig in right])
+        else:
+            merged.add(right & keep)
         classes.append(merged)
         yield node, merged
 
@@ -192,17 +196,14 @@ def _class_sets(g: Graph, t: LayoutTree) -> Iterator[tuple[LayoutTree, set[int]]
 def class_profile(g: Graph, t: LayoutTree) -> ClassCountProfile:
     """Count neighborhood classes at every node of the tree.
 
-    The counts are the sizes of _class_sets' sets.  Only the tree's shape
-    and leaf labels matter.  Leaves always count 1; the root counts 1 as
-    well since nothing lies outside it.
+    Internal nodes count their _class_sets set; leaves, and the root with
+    nothing outside it, count 1.  Only the tree's shape and leaf labels matter.
     """
-    counts = []
-    best, best_node = 0, t
-    for node, classes in _class_sets(g, t):
-        counts.append(len(classes))
-        if len(classes) > best:
-            best, best_node = len(classes), node
-    return ClassCountProfile(tuple(counts), best, best_node.leaves())
+    sizes = iter([len(classes) for _, classes in _class_sets(g, t)])  # the internal nodes, in postorder
+    nodes = list(t.postorder())
+    counts = tuple(1 if node.vertex is not None else next(sizes) for node in nodes)
+    best = max(counts)
+    return ClassCountProfile(counts, best, nodes[counts.index(best)].leaves())
 
 
 def prism_layout(t: LayoutTree) -> LayoutTree:
@@ -247,18 +248,20 @@ def check_doubling(g: Graph, t: LayoutTree) -> DoublingCheck:
     one to one, and a G-side and a bar-side signature can only meet at 0.
     So the lifted copy has 2|B| classes, or 2|B| - 1 when both 0 and F lie
     in B; that is at most twice |B|, so the check holds for every graph
-    and tree.  The lifted leaves below each cherry count 1, which no
-    cherry undercuts.  The result equals the maxima of class_profile(g, t)
-    and of class_profile(complementary_prism(g), prism_layout(t)), which
-    the tests use as the reference.
+    and tree.  _class_sets yields internal nodes only, so the maxima start
+    at the leaves' values: a leaf u counts 1, and its cherry (B = {N(u)},
+    F = full minus u) 2, or 1 at order 1 where F = 0 = N(u); the lifted
+    leaves below each cherry count 1, which no cherry undercuts.  The
+    result equals the maxima of class_profile(g, t) and of
+    class_profile(complementary_prism(g), prism_layout(t)), the tests' reference.
     """
     full = (1 << g.order) - 1
-    base_max = prism_max = 0
+    base_max, prism_max = 1, 1 + (g.order > 1)  # the leaves and their cherries
     for node, classes in _class_sets(g, t):
-        outside = full & ~node.leaf_mask
-        lifted = 2 * len(classes) - (0 in classes and outside in classes)
-        if len(classes) > base_max:
-            base_max = len(classes)
+        count = len(classes)
+        lifted = 2 * count - (0 in classes and (full & ~node.leaf_mask) in classes)
+        if count > base_max:
+            base_max = count
         if lifted > prism_max:
             prism_max = lifted
     return DoublingCheck(base_max, prism_max)

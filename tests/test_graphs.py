@@ -339,3 +339,16 @@ def test_random_graph_roundtrip(seed):
     rng = random.Random(seed)
     g = random_graph(rng.randint(1, 8), rng)
     assert parse_graph(format_graph(g)) == g
+
+
+@pytest.mark.parametrize("p", [0, 0.3, 0.5, 1])
+@pytest.mark.parametrize("order", [0, 1, 2, 40, 300])
+def test_random_graph_equals_pair_loop(order, p):
+    # the definition: one draw per pair u < v in lexicographic order, an edge
+    # where it falls below p; the rng must be left in the same state
+    got_rng, want_rng = random.Random(order), random.Random(order)
+    got = random_graph(order, got_rng, p)
+    edges = [(u, v) for u in range(order) for v in range(u + 1, order) if want_rng.random() < p]
+    assert got == Graph.from_edges(order, edges)
+    assert got.edge_count == len(edges)
+    assert got_rng.random() == want_rng.random()

@@ -103,6 +103,14 @@ def caterpillar(order):
     return t
 
 
+def mirrored_caterpillar(order):
+    """(1,(2,(...,(order-1,order)))): each node merges a leaf on the left with a subtree on the right."""
+    t = LayoutTree.leaf(order - 1)
+    for v in reversed(range(order - 1)):
+        t = LayoutTree.node(LayoutTree.leaf(v), t)
+    return t
+
+
 def assert_profile_matches_oracle(g, t):
     adj = bf.to_adj(g)
     nodes = list(t.postorder())
@@ -123,7 +131,7 @@ def test_profile_matches_set_oracle():
         assert_profile_matches_oracle(complementary_prism(g), prism_layout(t))
     for order in (1, 2, 5, 8, 13):
         g = random_graph(order, rng)
-        for t in (caterpillar(order), balanced_layout_tree(order)):
+        for t in (caterpillar(order), mirrored_caterpillar(order), balanced_layout_tree(order)):
             assert_profile_matches_oracle(g, t)
             assert_profile_matches_oracle(complementary_prism(g), prism_layout(t))
 
@@ -150,6 +158,13 @@ def test_caterpillar_at_max_order():
     result = check_doubling(cycle(order), t)
     assert result.base_max == 3 and result.ok
     assert result == reference_doubling(cycle(order), t)
+    # mirrored, every spine node merges a bare leaf on the left with a class set
+    # on the right, and its suffix cover splits the cycle the same way
+    mirrored = mirrored_caterpillar(order)
+    assert format_layout(mirrored) == "".join(f"({v}," for v in range(1, order)) + f"{order}" + ")" * (order - 1)
+    prof = class_profile(cycle(order), mirrored)
+    assert [count for node, count in zip(mirrored.postorder(), prof.counts) if not node.is_leaf] == spine
+    assert check_doubling(cycle(order), mirrored) == reference_doubling(cycle(order), mirrored) == result
 
 
 def test_root_and_leaves_count_one():
@@ -206,7 +221,8 @@ def test_check_doubling_k2():
 ])
 def test_check_doubling_edge_cases(g, want):
     rng = random.Random(g.order)
-    for t in (balanced_layout_tree(g.order), random_layout_tree(g.order, rng)):
+    trees = (balanced_layout_tree(g.order), random_layout_tree(g.order, rng), caterpillar(g.order), mirrored_caterpillar(g.order))
+    for t in trees:
         result = check_doubling(g, t)
         assert result == reference_doubling(g, t)
         assert (result.base_max, result.prism_max) == want
@@ -261,3 +277,5 @@ def test_doubling_random(seed):
     assert result.ok
     # the implicit lifted walk gives the profile of the lifted objects
     assert result == reference_doubling(g, t)
+    for t in (caterpillar(order), mirrored_caterpillar(order)):
+        assert check_doubling(g, t) == reference_doubling(g, t)
