@@ -11,6 +11,7 @@ plain text, the default, is rendered from it.  Diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import random
@@ -76,20 +77,12 @@ def _words(value, sep: str) -> str:
     return sep.join(map(str, value)) if isinstance(value, list) else str(value)
 
 
-def _parse_code_file(text: str, g: Graph, how: str) -> list[int]:
-    """Code file: two 0/1 rows (prism CodePair) or whitespace vertex tokens."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    looks_bits = (
-        len(lines) == 2
-        and set("".join(lines)) <= {"0", "1"}
-        and len(lines[0]) == len(lines[1])
-        and 2 * len(lines[0]) == g.order
-    )
-    if how == "bits" or (how == "auto" and looks_bits):
+def _parse_code_file(text: str, g: Graph) -> list[int]:
+    """Code file: two 0/1 rows of length order/2 (prism CodePair), else whitespace vertex tokens."""
+    with contextlib.suppress(ValueError):  # from_strings refuses all but two 0/1 rows of equal length
         pair = CodePair.from_strings(text)
-        if 2 * pair.n != g.order:
-            raise GraphFormatError(f"code rows of length {pair.n} do not fit order {g.order}")
-        return list(pair.vertices())
+        if 2 * pair.n == g.order:
+            return list(pair.vertices())
     indexing = _prism_indexing(g)
     out = []
     for token in text.split():
@@ -134,7 +127,7 @@ def cmd_verify(args) -> int:
     if args.graph == args.code == "-":  # the code would read the stdin the graph emptied
         raise GraphFormatError("verify reads at most one of the graph and the code from stdin")
     g = parse_graph(_read(args.graph))
-    code = _parse_code_file(_read(args.code), g, args.code_format)
+    code = _parse_code_file(_read(args.code), g)
     report = is_identifying_code(g, args.d, code)
     _print(args, report.payload(_prism_indexing(g)), lambda p: [
         f"valid: {len(set(code))} vertices identify the graph at radius {args.d}" if p["valid"]
@@ -247,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("code")
     p.add_argument("-d", type=int, default=1, help="identification radius (default 1)")
-    p.add_argument("--code-format", choices=("auto", "bits", "list"), default="auto")
     _add_json_flag(p)
     p.set_defaults(func=cmd_verify)
 

@@ -66,27 +66,21 @@ def vertex_label(v: int, indexing: Optional[PrismIndexing] = None) -> Union[str,
     return indexing.label(v) if indexing is not None else v + 1
 
 
-def is_identifying_code(g: Graph, d: int, code: Iterable[int]) -> VerificationReport:
-    """Check C against the definition and report the first failure.
-
-    An empty ball intersection at the smallest vertex wins over an
-    unseparated pair; among unseparated pairs the lexicographically first
-    one is reported.  ball_table's per-graph cache serves repeated checks.
-    """
-    return verification_report(ball_table(g, d), mask_of(code))
-
-
 def _identifies(balls: Sequence[int], code_mask: int) -> bool:
     """Are the code's views, ball & code_mask, all nonempty and pairwise distinct?"""
     views = {ball & code_mask for ball in balls}
     return len(views) == len(balls) and 0 not in views
 
 
-def verification_report(balls: Sequence[int], code_mask: int) -> VerificationReport:
-    """is_identifying_code's report for the code given as a vertex bitmask.
+def is_identifying_code(g: Graph, d: int, code: Iterable[int]) -> VerificationReport:
+    """Check C against the definition and report the first failure.
 
     The first failure is scanned for only when _identifies rejects the code.
+    An empty ball intersection at the smallest vertex wins over an
+    unseparated pair; among unseparated pairs the lexicographically first
+    one is reported.  ball_table's per-graph cache serves repeated checks.
     """
+    balls, code_mask = ball_table(g, d), mask_of(code)
     if code_mask >> len(balls):
         raise ValueError("code mentions vertices outside the graph")
     if _identifies(balls, code_mask):

@@ -6,12 +6,11 @@ its first hit is the lexicographically smallest optimal code.
 
 Enumeration: each size's subsets come as blocks of at most `_BLOCK`
 uint64 masks, in the lex order of their sorted tuples, which is the
-order its node count counts; no subset is ever a tuple.  Lex order
-groups the k-subsets of lo..m-1 by their smallest vertex, so a group of
-more than `_BLOCK` splits into one group per smallest vertex, and a group
-that fits is a fixed prefix OR'd onto a cached table of every k-subset
-of a range (see `_lex_subsets`).  Masks take the strategy to graphs of
-order at most 63.
+order its node count counts; no subset is ever a tuple.  A group of more
+than `_BLOCK` splits by its smallest vertex; one that fits is a prefix
+OR'd onto a cached table of every k-subset of a range: [0] for k = 0,
+else each v joined to each (k-1)-subset of v+1..n-1 (`_lex_subsets`, at
+most 575 tables, 15.4 MiB).  Masks take the strategy to order <= 63.
 
 Cost: one `idcode.HitTables` per solve tests a whole block at once, 64
 constraints, narrowest first, per pass of byte-table lookups, until the
@@ -189,27 +188,17 @@ def _lex_blocks(m: int, k: int, prefix: int, lo: int) -> Iterator[np.ndarray]:
         yield from _lex_blocks(m, k - 1, prefix | 1 << v, v + 1)
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=None)
 def _lex_subsets(n: int, k: int) -> np.ndarray:
-    """Every k-subset of 0..n-1 as a uint64 mask, in lex order of the sorted tuples.
+    """Every k-subset of 0..n-1 (k <= n) as a uint64 mask, in lex order of the sorted tuples.
 
-    In lex order the j-subsets of lo..n-1 are lo added to each
-    (j-1)-subset of lo+1..n-1, then the j-subsets of lo+1..n-1.  Walking
-    lo down from n, only the j >= k - lo can still grow to size k by
-    lo = 0, so no table on the way holds more than C(n, k) masks.  The
-    result is shared by every caller, so it is read-only.  It does not
-    depend on `_BLOCK`, which only decides which (n, k) are asked for,
-    so the cache is keyed by (n, k) alone.
+    [0] for k = 0, else each v ascending joined to each (k-1)-subset of
+    v+1..n-1.  Shared by every caller, so read-only.  `_lex_blocks` asks
+    only for n <= 63 and C(n, k) <= `_BLOCK`, the recursion for no larger
+    table, so the unbounded cache holds at most 575 tables, 15.4 MiB.
     """
-    empty = np.zeros(0, dtype=np.uint64)
-    tables = [np.zeros(1, dtype=np.uint64)] + [empty] * k
-    for lo in range(n - 1, -1, -1):
-        bit = np.uint64(1 << lo)
-        tables = tables[:1] + [
-            np.concatenate((tables[j - 1] | bit, tables[j])) if j >= k - lo else empty
-            for j in range(1, k + 1)
-        ]
-    table = tables[k]
+    table = np.zeros(1, dtype=np.uint64) if k == 0 else np.concatenate(
+        [_lex_subsets(n - v - 1, k - 1) << np.uint64(v + 1) | np.uint64(1 << v) for v in range(n - k + 1)])
     table.flags.writeable = False
     return table
 

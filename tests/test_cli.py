@@ -110,15 +110,22 @@ def test_verify_invalid_and_labels(capsys, tmp_path, prism9):
     assert code == 0, out
 
 
-def test_verify_code_format_flags(capsys, tmp_path, prism9):
+def test_verify_reads_code_files_by_one_rule(capsys, tmp_path, prism9):
+    # two 0/1 rows of length order/2 are a code pair, anything else is vertex tokens
     bits = tmp_path / "bits.txt"
     bits.write_text("111000000\n000011110\n")
-    assert run(capsys, "verify", prism9, str(bits), "--code-format", "bits")[0] == 0
-    # as a list these tokens are not vertex ids
-    assert run(capsys, "verify", prism9, str(bits), "--code-format", "list")[0] == 64
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", prism9, str(bits), "--code-format", "bits"])  # no format switch: the rule decides
+    assert exc.value.code == 64
+    assert run(capsys, "verify", prism9, str(bits))[0] == 0
     short = tmp_path / "short.txt"
     short.write_text("111\n000\n")
-    assert run(capsys, "verify", prism9, str(short), "--code-format", "bits")[0] == 64
+    assert run(capsys, "verify", prism9, str(short)) == (64, "", "error: vertex 111 outside 1..18\n")
+    cycle9 = tmp_path / "c9.txt"
+    assert main(["gen", "cycle", "9", "-o", str(cycle9)]) == 0
+    labels = tmp_path / "labels.txt"
+    labels.write_text("v3\n")  # prism labels mean nothing off a prism
+    assert run(capsys, "verify", str(cycle9), str(labels)) == (64, "", "error: bad vertex token 'v3'\n")
 
 
 def test_verify_bad_graph(capsys, tmp_path, pattern9):

@@ -8,6 +8,7 @@ from itertools import combinations
 from math import comb
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from prismcode.graphs import (
@@ -465,6 +466,17 @@ def test_exhaustive_matches_combination_walk(monkeypatch, block):
         inst = hitting_instance(g, 1)
         res = solve_min_idcode(g, 1, EXH)
         assert (res.size, res.code, res.nodes) == _combination_walk(g.order, inst.constraints, g.order)
+
+
+def test_lex_subsets_are_the_combinations_in_order():
+    # every table the exhaustive walk can ask for at n <= 20, against its definition
+    for n in range(21):
+        for k in range(n + 1):
+            if comb(n, k) > solver._BLOCK:
+                continue
+            table = solver._lex_subsets(n, k)
+            assert table.dtype == np.uint64 and not table.flags.writeable, (n, k)
+            assert table.tolist() == [mask_of(c) for c in combinations(range(n), k)], (n, k)
 
 
 def test_exhaustive_splits_large_sizes_without_a_patched_block():
