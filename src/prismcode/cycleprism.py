@@ -28,7 +28,8 @@ fixed head for n % 9, then repeated 9-column blocks.  Both were read off
 a column transfer DP over the conditions, which the tests keep as the
 reference; a shortest-path potential there certifies the floor as a
 lower bound for every n >= 9.  At n = 9, 10 and 12, where the pair does
-not identify, the lex-min optimal code is stored instead.
+not identify, the lex-min optimal code is stored instead; lexmin_optimum
+returns whichever applies once it is certified optimal.
 """
 
 from __future__ import annotations
@@ -382,20 +383,32 @@ def lexmin_pair(n: int) -> CodePair:
     block, 111022220 (301030220 when n % 9 == 2); the tests compare it
     with the lex-min pair of the reference transfer DP (n = 9..512, every
     n the command line accepts, in CI).
-
-    Soundness: the conditions are necessary, so every optimal identifying
-    code is a condition-clean pair of size at least the floor.  When the
-    returned pair L identifies (verify_code), the optimum is therefore
-    the floor, every optimal code is a clean pair of the floor's size and
-    so a candidate too, and L is the lex-min optimal code.  When L does
-    not identify (n = 9, 10 and 12 among 9..512), nothing follows beyond
-    the floor; _LEXMIN_OPTIMA holds the lex-min optimal code there, which
-    the tests find again by branch and bound and by exhaustive search.
     """
     _require_scope(n)
     head = _LEXMIN_HEAD[n % 9]
     block = "301030220" if n % 9 == 2 else "111022220"
     return _pair(head + block * ((n - len(head)) // 9))
+
+
+def lexmin_optimum(n: int) -> CodePair:
+    """The lex-min optimal identifying code of the prism of C_n, certified.
+
+    It is lexmin_pair(n), or _LEXMIN_OPTIMA[n] at n = 9, 10 and 12, and it
+    is returned only once it has condition_floor(n) members and
+    verify_code accepts it; otherwise AssertionError.  That check proves
+    the answer: the conditions are necessary, so every optimal code is a
+    condition-clean pair of size at least the floor.  A code of the
+    floor's size that identifies is therefore optimal, and every optimal
+    code is a clean pair of that size, so lexmin_pair(n), when it
+    identifies, is the lex-min optimal code.  Where it does not (n = 9,
+    10 and 12 among 9..512), the tests find the stored codes again by
+    branch and bound and by exhaustive search.
+    """
+    floor = condition_floor(n)
+    code = CodePair.from_vertices(n, _LEXMIN_OPTIMA[n]) if n in _LEXMIN_OPTIMA else lexmin_pair(n)
+    if code.size != floor or not verify_code(code):
+        raise AssertionError(f"{code.vertices()} is not an identifying code of size {floor} of the prism of C_{n}")
+    return code
 
 
 @dataclass(frozen=True)

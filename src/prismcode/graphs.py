@@ -45,7 +45,7 @@ class Graph:
     ball_table keeps each radius asked, and its balls, in _balls.
     """
 
-    __slots__ = ("order", "adj", "_edge_count", "_balls")
+    __slots__ = ("order", "adj", "edge_count", "_balls")
 
     def __init__(self, order: int, adj: Sequence[int]):
         if order < 0:
@@ -73,7 +73,7 @@ class Graph:
             raise ValueError(f"edge {u},{v} is not symmetric")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "adj", rows)
-        object.__setattr__(self, "_edge_count", int(np.count_nonzero(matrix)) // 2)
+        object.__setattr__(self, "edge_count", int(np.count_nonzero(matrix)) // 2)
         object.__setattr__(self, "_balls", {})
 
     def __setattr__(self, name, value):
@@ -91,10 +91,6 @@ class Graph:
             rows[v] |= 1 << u
         return cls(order, rows)
 
-    @property
-    def edge_count(self) -> int:
-        return self._edge_count
-
     def degree(self, u: int) -> int:
         return self.adj[u].bit_count()
 
@@ -108,6 +104,7 @@ class Graph:
         return self.adj[u] | 1 << u
 
     def edges(self) -> Iterator[tuple[int, int]]:
+        """Each edge once, as (u, v) with u < v, in lexicographic order."""
         for u in range(self.order):
             for v in bits(self.adj[u] >> (u + 1) << (u + 1)):
                 yield (u, v)
@@ -277,10 +274,10 @@ def random_graph(order: int, rng, p: float = 0.5) -> Graph:
 
 
 def format_graph(g: Graph, comments: Sequence[str] = ()) -> str:
-    """Graph text format: "p <order> <edges>" then sorted "e <u> <v>" lines, 1-based."""
+    """Graph text format: "p <order> <edges>" then "e <u> <v>" lines in lexicographic order, 1-based."""
     lines = [f"c {c}" for c in comments]
     lines.append(f"p {g.order} {g.edge_count}")
-    lines += [f"e {u + 1} {v + 1}" for u, v in sorted(g.edges())]
+    lines += [f"e {u + 1} {v + 1}" for u, v in g.edges()]
     return "\n".join(lines) + "\n"
 
 

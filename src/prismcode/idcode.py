@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .graphs import Graph, PrismIndexing, ball_table, bit_matrix, mask_of
+from .graphs import Graph, PrismIndexing, ball_table, bit_matrix, closed_twins, mask_of
 
 # Constraints per transpose in _incidence, whole 64-bit words: a chunk's
 # 0/1 matrix takes _CHUNK bytes per vertex of the universe.
@@ -175,19 +175,19 @@ def hitting_instance(g: Graph, d: int) -> HittingInstance:
     """Build the domination + separation constraint system for (g, d).
 
     One insertion-ordered dict keeps each constraint's first occurrence.
-    No ball is empty, so key 0 appears only for twins; their pairs are
-    collected by a second scan only then.
+    No ball is empty, so key 0 appears only for twins; only then are
+    their pairs taken from `graphs.closed_twins`.
     """
     balls = ball_table(g, d)
     seen = dict.fromkeys(balls)
     for u, bu in enumerate(balls):
         for bv in balls[u + 1:]:
             seen[bu ^ bv] = None
-    infeasible = []
+    infeasible = ()
     if 0 in seen:
         del seen[0]
-        infeasible = [(u, v) for u in range(g.order) for v in range(u + 1, g.order) if balls[u] == balls[v]]
-    return HittingInstance(g.order, tuple(seen), tuple(infeasible))
+        infeasible = closed_twins(g, d)
+    return HittingInstance(g.order, tuple(seen), infeasible)
 
 
 def greedy_code(inst: HittingInstance) -> tuple[int, ...]:

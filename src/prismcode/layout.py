@@ -11,8 +11,8 @@ bare signature, its count of 1 seeded, and only internal nodes build and
 yield a class set, their children's classes with their cover cleared.  A
 node so costs its children's class counts, a tree at most the sum of its
 cover sizes.  LayoutTree.postorder is the one walk, by explicit stack:
-equality and hashing compare its leaf labels, format_layout,
-class_profile and prism_layout fold it bottom up, and parse_layout is one
+format_layout, class_profile and prism_layout fold it bottom up, equality
+and hashing compare format_layout's text, and parse_layout is one
 shift-reduce pass, so trees as deep as the order limit work.  The tree
 builders, balanced_layout_tree and random_layout_tree, recurse, but only
 as deep as the trees they build: about log2(order) for the balanced one
@@ -90,17 +90,14 @@ class LayoutTree:
                 stack += (node.left, node.right)
         return reversed(visited)
 
-    def _signature(self) -> tuple[Optional[int], ...]:
-        """Leaf labels in postorder, None at internal nodes; it determines the tree."""
-        return tuple(node.vertex for node in self.postorder())
-
     def __eq__(self, other) -> bool:
+        """Equal trees have equal format_layout text, which parse_layout inverts."""
         if not isinstance(other, LayoutTree):
             return NotImplemented
-        return self is other or self._signature() == other._signature()
+        return self is other or format_layout(self) == format_layout(other)
 
     def __hash__(self) -> int:
-        return hash(self._signature())
+        return hash(format_layout(self))
 
     def __repr__(self) -> str:
         return f"LayoutTree({format_layout(self)!r})"

@@ -35,18 +35,11 @@ only one more vertex, shared by every constraint it leaves unhit, can
 complete it, so it intersects those constraints and answers at once.
 
 On the prism of C_n with n >= 9 at d = 1, the branch-and-bound strategy
-does not search.  `cycleprism.condition_floor` is the least size of a
-code pair meeting the necessary condition system, so a size cap below it
-is answered cap-exceeded at once.  Otherwise the answer is the lex-min
-such pair, `lexmin_pair(n)`, or at n = 9, 10 and 12, where the
-conditions are not sufficient and that pair does not identify, the
-stored lex-min optimal code.  It is returned with nodes = 0 once
-`verify_code` accepts it and its size is the floor, which proves it
-optimal.  The pair is then lex-min among the optima too, since every
-optimal code is a clean pair of at least the floor's size; the tests
-find each stored code again by search.  Other inputs are seeded with
-`idcode.greedy_code` and searched with no floor; the exhaustive strategy
-takes neither route.
+does not search: it answers `cycleprism.lexmin_optimum(n)`, which
+certifies its code as the lex-min optimum, with nodes = 0, or
+cap-exceeded for a size cap below that code's size.  Other inputs are
+seeded with `idcode.greedy_code` and searched with no floor; the
+exhaustive strategy takes neither route.
 That shared canonical answer is the determinism contract: strategies
 agree on everything except wall-clock time and node counts, and repeated
 runs on everything except wall-clock time.
@@ -63,10 +56,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .cycleprism import (
-    _LEXMIN_OPTIMA, CodePair, _prism, condition_floor, lexmin_pair, lower_bound, pattern_code, prism_cycle_length,
-    upper_bound, verify_code,
-)
+from .cycleprism import _prism, lexmin_optimum, lower_bound, pattern_code, prism_cycle_length, upper_bound
 from .graphs import Graph, PrismIndexing, bits, mask_of
 from .idcode import HitTables, HittingInstance, greedy_code, hitting_instance, vertex_label
 
@@ -123,15 +113,12 @@ def solve_min_idcode(g: Graph, d: int, options: Optional[SolverOptions] = None) 
     """
     opts = options or SolverOptions()
     start = time.perf_counter()
-    floor = _prism_floor(g, d) if opts.strategy == "bnb" else 0
-    if floor:
-        if opts.size_cap is not None and opts.size_cap < floor:
+    n = prism_cycle_length(g) if opts.strategy == "bnb" and d == 1 and g.order >= 18 else None
+    if n is not None:
+        code = lexmin_optimum(n)
+        if opts.size_cap is not None and opts.size_cap < code.size:
             return SolverResult(CAP_EXCEEDED, elapsed=time.perf_counter() - start)
-        n = g.order // 2
-        code = CodePair.from_vertices(n, _LEXMIN_OPTIMA[n]) if n in _LEXMIN_OPTIMA else lexmin_pair(n)
-        if code.size != floor or not verify_code(code):
-            raise AssertionError(f"{code.vertices()} is not an identifying code of size {floor} of the prism of C_{n}")
-        return SolverResult(OPTIMAL, size=floor, code=code.vertices(), elapsed=time.perf_counter() - start)
+        return SolverResult(OPTIMAL, size=code.size, code=code.vertices(), elapsed=time.perf_counter() - start)
     inst = hitting_instance(g, d)
     if not inst.feasible:
         return SolverResult(
@@ -146,12 +133,6 @@ def solve_min_idcode(g: Graph, d: int, options: Optional[SolverOptions] = None) 
     if size is None:
         return SolverResult(CAP_EXCEEDED, nodes=nodes, elapsed=elapsed)
     return SolverResult(OPTIMAL, size=size, code=code, nodes=nodes, elapsed=elapsed)
-
-
-def _prism_floor(g: Graph, d: int) -> int:
-    """condition_floor(n) when g is the prism of C_n, n >= 9, at d = 1; else 0."""
-    n = prism_cycle_length(g) if d == 1 and g.order >= 18 else None
-    return 0 if n is None else condition_floor(n)
 
 
 # ---------------------------------------------------------------- exhaustive

@@ -69,6 +69,8 @@ def test_codepair_errors():
             CodePair.from_strings(bad)
     with pytest.raises(ValueError):
         CodePair(4, 1 << 4, 0)
+    with pytest.raises(ValueError, match="^n must be positive$"):
+        CodePair(0, 0, 0)
     with pytest.raises(ValueError):
         CodePair.from_vertices(4, [8])
 

@@ -57,6 +57,14 @@ def test_graph_validation():
     g = Graph.from_edges(3, [(0, 1)])
     with pytest.raises(AttributeError):
         g.order = 5  # graphs are immutable
+    with pytest.raises(AttributeError):
+        g.edge_count = 1
+    with pytest.raises(ValueError, match="^order must be nonnegative$"):
+        Graph(-1, [])
+    with pytest.raises(ValueError, match="^adjacency length must equal order$"):
+        Graph(2, [0])
+    with pytest.raises(ValueError, match="^self-loop at vertex 1$"):
+        Graph.from_edges(3, [(1, 1)])  # from_edges' own check, before Graph sees a row
     asymmetric = r"edge \d+,\d+ is not symmetric"
     with pytest.raises(ValueError, match=asymmetric):
         Graph(2, [2, 0])  # entry above the diagonal only

@@ -73,6 +73,11 @@ def test_tree_shape_validation():
         LayoutTree.node(LayoutTree.leaf(0), LayoutTree.leaf(0))
     with pytest.raises(ValueError):
         LayoutTree.leaf(-1)
+    with pytest.raises(ValueError, match="^a node is either a leaf or has two children$"):
+        LayoutTree(None, LayoutTree.leaf(0), None)
+    for build in (balanced_layout_tree, lambda order: random_layout_tree(order, random.Random(0))):
+        with pytest.raises(ValueError, match="^need at least one vertex$"):
+            build(0)
 
 
 def test_k2_profile():

@@ -259,10 +259,19 @@ def test_floor_applies_only_to_prisms_of_cycles_at_radius_1():
     swap = list(range(24))
     swap[0], swap[12] = 12, 0  # the same graph with v1 and vbar1 exchanged
     relabeled = Graph.from_edges(24, [(swap[u], swap[v]) for u, v in prism.edges()])
-    assert solver._prism_floor(prism, 1) == condition_floor(12) == 10
+    res = solve_min_idcode(prism, 1)
+    assert (res.status, res.size, res.nodes) == (OPTIMAL, condition_floor(12), 0) and res.size == 10
+    # Other inputs take the general route: a search from no floor, node for
+    # node, or the first twin pair as the witness.
+    feasible = []
     for g, d in [(prism, 2), (relabeled, 1), (complementary_prism(cycle(8)), 1), (cycle(18), 1)]:
-        assert solver._prism_floor(g, d) == 0
-    # Other inputs search exactly as without a floor, node for node.
+        inst, res = hitting_instance(g, d), solve_min_idcode(g, d)
+        feasible.append(inst.feasible)
+        if inst.feasible:
+            assert (res.status, res.size, res.code, res.nodes) == (OPTIMAL, *solver._bnb(inst, None, 0))
+        else:
+            assert (res.status, res.witness) == (INFEASIBLE, bf.twins(bf.to_adj(g), d)[0])
+    assert feasible == [False, True, True, True]
     inst = hitting_instance(relabeled, 1)
     res = solve_min_idcode(relabeled, 1, SolverOptions(size_cap=10))
     assert (res.size, res.code, res.nodes) == solver._bnb(inst, 10, 0)

@@ -31,6 +31,7 @@ from prismcode.cycleprism import (
     check_conditions,
     condition_floor,
     condition_masks,
+    lexmin_optimum,
     lexmin_pair,
     lower_bound,
     upper_bound,
@@ -193,3 +194,5 @@ def test_floor_scope():
         condition_floor(8)
     with pytest.raises(ValueError):
         lexmin_pair(8)
+    with pytest.raises(ValueError):
+        lexmin_optimum(8)
