@@ -77,16 +77,17 @@ def _words(value, sep: str) -> str:
     return sep.join(map(str, value)) if isinstance(value, list) else str(value)
 
 
-def _parse_code_file(text: str, g: Graph) -> list[int]:
+def _parse_code_file(text: str, g: Graph, indexing: Optional[PrismIndexing]) -> list[int]:
     """Code file: two 0/1 rows of length order/2 (prism CodePair), else whitespace vertex tokens."""
     with contextlib.suppress(ValueError):  # from_strings refuses all but two 0/1 rows of equal length
         pair = CodePair.from_strings(text)
         if 2 * pair.n == g.order:
             return list(pair.vertices())
-    indexing = _prism_indexing(g)
     out = []
     for token in text.split():
         if token.isdecimal():
+            if token[0] == "0" and len(token) > 1:  # leading zeros: a 0/1 row of the wrong length, say
+                raise GraphFormatError(f"bad vertex token {token!r}")
             v = (decimal_field(token, g.order) or 0) - 1  # -1 outside 1..order
             if v < 0:
                 raise GraphFormatError(f"vertex {token} outside 1..{g.order}")
@@ -127,9 +128,10 @@ def cmd_verify(args) -> int:
     if args.graph == args.code == "-":  # the code would read the stdin the graph emptied
         raise GraphFormatError("verify reads at most one of the graph and the code from stdin")
     g = parse_graph(_read(args.graph))
-    code = _parse_code_file(_read(args.code), g)
+    indexing = _prism_indexing(g)
+    code = _parse_code_file(_read(args.code), g, indexing)
     report = is_identifying_code(g, args.d, code)
-    _print(args, report.payload(_prism_indexing(g)), lambda p: [
+    _print(args, report.payload(indexing), lambda p: [
         f"valid: {len(set(code))} vertices identify the graph at radius {args.d}" if p["valid"]
         else f"invalid: {p['failure']['kind']} at {_words(p['failure']['vertices'], ', ')}"
     ])

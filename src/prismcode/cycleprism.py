@@ -8,10 +8,10 @@ Positions are 0-based here and wrap modulo n; every external surface
 For n >= 9 the identifying property reduces to a finite system of
 "some listed position is in the code" conditions, one family per kind of
 requirement on the cycle side plus two families for bar-side separation.
-The reduction is exact whenever the bar side of the code has at least 4
-members: that many bar members already dominate every bar vertex and
-separate every cycle/bar pair, so only the listed families can fail.
-With fewer bar members the conditions stay necessary but not sufficient.
+They are necessary, and sufficient once the bar side has >= 4 members
+(tests/test_transfer.py): cycle balls are DOM windows, cycle pairs 1 or
+2 apart and bar pairs are condition masks, farther cycle pairs hold a
+DOM window, and bar balls and cycle/bar pairs miss <= 3 bar vertices.
 verify_code always decides with the definitional check on the prism.
 
 pattern_code builds the periodic code witnessing the n - 2*floor(n/9)
@@ -400,9 +400,9 @@ def lexmin_optimum(n: int) -> CodePair:
     condition-clean pair of size at least the floor.  A code of the
     floor's size that identifies is therefore optimal, and every optimal
     code is a clean pair of that size, so lexmin_pair(n), when it
-    identifies, is the lex-min optimal code.  Where it does not (n = 9,
-    10 and 12 among 9..512), the tests find the stored codes again by
-    branch and bound and by exhaustive search.
+    identifies, is the lex-min optimal code.  With >= 4 bar members it
+    does; each block adds 4, so only the heads n = 9, 10 and 12, with 2,
+    fall short, and the tests find their stored codes by search.
     """
     floor = condition_floor(n)
     code = CodePair.from_vertices(n, _LEXMIN_OPTIMA[n]) if n in _LEXMIN_OPTIMA else lexmin_pair(n)

@@ -172,21 +172,6 @@ class PrismIndexing:
 
     n: int
 
-    def cycle_vertex(self, i: int) -> int:
-        self._check(i)
-        return i - 1
-
-    def bar_vertex(self, i: int) -> int:
-        self._check(i)
-        return self.n + i - 1
-
-    def is_bar(self, v: int) -> bool:
-        return self._vertex(v)[0]
-
-    def position(self, v: int) -> int:
-        """1-based cycle position shared by a vertex and its bar partner."""
-        return self._vertex(v)[1]
-
     def label(self, v: int) -> str:
         bar, i = self._vertex(v)
         return ("vbar" if bar else "v") + str(i)
@@ -197,11 +182,7 @@ class PrismIndexing:
         i = decimal_field(s[4:] if bar else s[1:] if s.startswith("v") else "", self.n)
         if not i:
             raise GraphFormatError(f"bad vertex label {text!r}")
-        return self.bar_vertex(i) if bar else self.cycle_vertex(i)
-
-    def _check(self, i: int) -> None:
-        if not 1 <= i <= self.n:
-            raise ValueError(f"index {i} outside 1..{self.n}")
+        return self.n + i - 1 if bar else i - 1
 
     def _vertex(self, v: int) -> tuple[bool, int]:
         """Whether prism vertex v is on the bar side, and its position."""

@@ -115,24 +115,16 @@ def solve_min_idcode(g: Graph, d: int, options: Optional[SolverOptions] = None) 
     start = time.perf_counter()
     n = prism_cycle_length(g) if opts.strategy == "bnb" and d == 1 and g.order >= 18 else None
     if n is not None:
-        code = lexmin_optimum(n)
-        if opts.size_cap is not None and opts.size_cap < code.size:
-            return SolverResult(CAP_EXCEEDED, elapsed=time.perf_counter() - start)
-        return SolverResult(OPTIMAL, size=code.size, code=code.vertices(), elapsed=time.perf_counter() - start)
-    inst = hitting_instance(g, d)
-    if not inst.feasible:
-        return SolverResult(
-            INFEASIBLE, witness=inst.infeasible_pairs[0],
-            elapsed=time.perf_counter() - start,
-        )
-    if opts.strategy == "exhaustive":
-        size, code, nodes = _exhaustive(inst, opts.size_cap)
+        pair = lexmin_optimum(n)
+        capped = opts.size_cap is not None and opts.size_cap < pair.size
+        size, code, nodes = (None, None, 0) if capped else (pair.size, pair.vertices(), 0)
     else:
-        size, code, nodes = _bnb(inst, opts.size_cap)
-    elapsed = time.perf_counter() - start
-    if size is None:
-        return SolverResult(CAP_EXCEEDED, nodes=nodes, elapsed=elapsed)
-    return SolverResult(OPTIMAL, size=size, code=code, nodes=nodes, elapsed=elapsed)
+        inst = hitting_instance(g, d)
+        if not inst.feasible:
+            return SolverResult(INFEASIBLE, witness=inst.infeasible_pairs[0], elapsed=time.perf_counter() - start)
+        size, code, nodes = (_exhaustive if opts.strategy == "exhaustive" else _bnb)(inst, opts.size_cap)
+    status = CAP_EXCEEDED if size is None else OPTIMAL
+    return SolverResult(status, size, code, nodes=nodes, elapsed=time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------- exhaustive

@@ -121,6 +121,16 @@ def test_verify_reads_code_files_by_one_rule(capsys, tmp_path, prism9):
     short = tmp_path / "short.txt"
     short.write_text("111\n000\n")
     assert run(capsys, "verify", prism9, str(short)) == (64, "", "error: vertex 111 outside 1..18\n")
+    zero = tmp_path / "zero.txt"
+    zero.write_text("0\n")
+    assert run(capsys, "verify", prism9, str(zero)) == (64, "", "error: vertex 0 outside 1..18\n")
+    # rows of length 10 on the prism of C_20 are no pair; with leading zeros they are no vertex numbers either
+    prism20 = tmp_path / "p20.txt"
+    assert main(["gen", "prism", "20", "-o", str(prism20)]) == 0
+    wrong = tmp_path / "wrong.txt"
+    wrong.write_text("0000000001\n0000000011\n")
+    for args in ((), ("--json",)):
+        assert run(capsys, "verify", str(prism20), str(wrong), *args) == (64, "", "error: bad vertex token '0000000001'\n")
     cycle9 = tmp_path / "c9.txt"
     assert main(["gen", "cycle", "9", "-o", str(cycle9)]) == 0
     labels = tmp_path / "labels.txt"

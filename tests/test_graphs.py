@@ -55,6 +55,8 @@ def test_graph_validation():
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 2)])  # endpoint out of range
     g = Graph.from_edges(3, [(0, 1)])
+    assert [g.neighbors(u) for u in range(3)] == [(1,), (0,), ()]
+    assert repr(g) == "Graph(order=3, edges=1)"
     with pytest.raises(AttributeError):
         g.order = 5  # graphs are immutable
     with pytest.raises(AttributeError):
@@ -286,21 +288,16 @@ def test_twins_match_oracle():
 
 def test_prism_indexing_roundtrip():
     ix = PrismIndexing(9)
-    assert ix.cycle_vertex(3) == 2 and ix.bar_vertex(7) == 15
     assert ix.label(2) == "v3" and ix.label(15) == "vbar7"
     assert ix.parse_label("v3") == 2 and ix.parse_label("vbar7") == 15
-    assert not ix.is_bar(8) and ix.is_bar(9)
-    assert [(ix.is_bar(v), ix.position(v), ix.label(v)) for v in (0, 8, 9, 17)] == [
-        (False, 1, "v1"), (False, 9, "v9"), (True, 1, "vbar1"), (True, 9, "vbar9")
-    ]
+    assert [ix.label(v) for v in (0, 8, 9, 17)] == ["v1", "v9", "vbar1", "vbar9"]
+    assert [ix.parse_label(ix.label(v)) for v in range(18)] == list(range(18))
     for v in (-1, 18, 10**6):
-        for method in (ix.is_bar, ix.position, ix.label):
-            with pytest.raises(ValueError, match=f"^vertex {v} outside prism of order 18$"):
-                method(v)
-    with pytest.raises(ValueError):
-        ix.cycle_vertex(10)
-    with pytest.raises(GraphFormatError):
-        ix.parse_label("w3")
+        with pytest.raises(ValueError, match=f"^vertex {v} outside prism of order 18$"):
+            ix.label(v)
+    for text in ("v10", "vbar10", "v0", "w3"):
+        with pytest.raises(GraphFormatError, match=f"^bad vertex label '{text}'$"):
+            ix.parse_label(text)
 
 
 def test_format_roundtrip_and_sorting():

@@ -75,6 +75,12 @@ def test_tree_shape_validation():
         LayoutTree.leaf(-1)
     with pytest.raises(ValueError, match="^a node is either a leaf or has two children$"):
         LayoutTree(None, LayoutTree.leaf(0), None)
+    t = LayoutTree.node(LayoutTree.leaf(0), LayoutTree.leaf(1))
+    assert repr(t) == "LayoutTree('(1,2)')"
+    for name, value in (("left", LayoutTree.leaf(2)), ("vertex", 0), ("leaf_mask", 0)):
+        with pytest.raises(AttributeError, match="^LayoutTree is immutable$"):
+            setattr(t, name, value)
+    assert format_layout(t) == "(1,2)" and t.leaf_mask == 0b11
     for build in (balanced_layout_tree, lambda order: random_layout_tree(order, random.Random(0))):
         with pytest.raises(ValueError, match="^need at least one vertex$"):
             build(0)

@@ -8,7 +8,10 @@ shortest-path potential over the column transfer graph, and compared
 with the reference transfer DP (`transfer_dp`), with brute force over
 every code pair at n = 9 and 10, and with the frozen optima up to
 n = 22.  The closed-form lex-min pair is compared with the DP's, with
-brute force at n = 9 and 10 and with branch and bound.
+brute force at n = 9 and 10 and with branch and bound.  The upper half is
+tested in two parts: every constraint of the prism's hitting instance is
+hit by a clean pair with >= 4 bar members (sufficiency), and every
+lexmin_pair is its head's pair plus 4 bar members per block (periodicity).
 """
 
 import hashlib
@@ -27,6 +30,8 @@ from prismcode.cycleprism import (
     SEP_ADJACENT,
     SEP_DISTANCE2,
     _FLOOR_EXCESS,
+    _LEXMIN_HEAD,
+    _LEXMIN_OPTIMA,
     _prism,
     check_conditions,
     condition_floor,
@@ -37,6 +42,7 @@ from prismcode.cycleprism import (
     upper_bound,
     verify_code,
 )
+from prismcode.graphs import bits
 from prismcode.idcode import hitting_instance
 from prismcode.solver import _bnb, solve_min_idcode
 from prismcode.sweep import all_codes, condition_satisfied
@@ -99,6 +105,52 @@ def test_lexmin_pair_is_clean_at_the_floor():
         pair = lexmin_pair(n)
         assert pair.size == condition_floor(n) and check_conditions(pair).ok, n
         assert verify_code(pair) == (n not in (9, 10, 12)), n
+
+
+def test_constraints_a_clean_pair_with_four_bar_members_hits():
+    # Sufficiency: each constraint of the prism's instance is a condition
+    # mask, contains one, or leaves at most 3 bar vertices out, so a clean
+    # pair with >= 4 bar members hits them all and identifies.  Only a
+    # cycle-cycle difference at gap >= 3 falls in the middle class, and it
+    # holds both endpoints' closed rows, each a DOM window at one of its own
+    # cycle positions, so DOM is looked for there alone.
+    counts = [0, 0, 0]
+    for n in range(9, 41):
+        conditions = condition_masks(n)
+        masks = {c.mask for c in conditions}
+        dom = [c.mask for c in conditions if c.family == DOMINATION]  # anchored at 0..n-1
+        bar = ((1 << n) - 1) << n
+        for c in hitting_instance(_prism(n), 1).constraints:
+            if c in masks:
+                counts[0] += 1
+            elif any(not dom[a] & ~c for a in bits(c & ~bar)):
+                counts[1] += 1
+            else:
+                assert (bar & ~c).bit_count() <= 3, (n, c)
+                counts[2] += 1
+    assert counts == [12928, 9008, 22720]
+
+
+def test_lexmin_pair_is_its_head_then_blocks():
+    # Periodicity: each head's pair and the pairs one and two blocks longer
+    # are clean at the floor, with one blind position, the same one, in the
+    # head, and 4 bar members per block.  Every condition window spans at
+    # most 5 consecutive columns, so each window past k = 2 reads the same
+    # columns as one at k = 2.
+    blind = (7, 8, 3, 10, 3, 4, 5, 6, 6)
+    head_bars = [sum(column in "23" for column in head) for head in _LEXMIN_HEAD]
+    for r, head in enumerate(_LEXMIN_HEAD):
+        for k in range(3):
+            n = len(head) + 9 * k
+            if n < 9:
+                continue
+            pair = lexmin_pair(n)
+            assert pair.size == condition_floor(n) and check_conditions(pair).ok, n
+            assert pair.blind_bar() == {blind[r]} and blind[r] < len(head), n
+            assert pair.xbar.bit_count() == head_bars[r] + 4 * k, n
+    # So every pair has >= 4 bar members but the k = 0 heads with 2: n = 9, 10 and 12.
+    short = {len(head): bars for head, bars in zip(_LEXMIN_HEAD, head_bars) if len(head) >= 9 and bars < 4}
+    assert short == dict.fromkeys(_LEXMIN_OPTIMA, 2) == {9: 2, 10: 2, 12: 2}
 
 
 def test_lexmin_pairs_frozen():
