@@ -30,6 +30,7 @@ from .graphs import (
     cycle,
     decimal_field,
     format_graph,
+    is_numeral,
     parse_graph,
     random_graph,
 )
@@ -86,7 +87,7 @@ def _parse_code_file(text: str, g: Graph, indexing: Optional[PrismIndexing]) -> 
     out = []
     for token in text.split():
         if token.isdecimal():
-            if token[0] == "0" and len(token) > 1:  # leading zeros: a 0/1 row of the wrong length, say
+            if not is_numeral(token):  # leading zeros, as in a 0/1 row of the wrong length, or non-ASCII digits
                 raise GraphFormatError(f"bad vertex token {token!r}")
             v = (decimal_field(token, g.order) or 0) - 1  # -1 outside 1..order
             if v < 0:

@@ -39,6 +39,15 @@ def decimal_field(field: str, bound: int) -> Optional[int]:
     return None
 
 
+def is_numeral(text: str) -> bool:
+    """Whether text is a number as code files write one: ASCII digits, no leading zero.
+
+    A lone "0" is a numeral.  Vertex numbers and the digits of "v3" and
+    "vbar7" labels both follow this rule.
+    """
+    return text.isascii() and text.isdecimal() and (text[0] != "0" or len(text) == 1)
+
+
 class Graph:
     """Immutable undirected simple graph with int-bitset adjacency rows.
 
@@ -179,7 +188,8 @@ class PrismIndexing:
     def parse_label(self, text: str) -> int:
         s = text.strip()
         bar = s.startswith("vbar")
-        i = decimal_field(s[4:] if bar else s[1:] if s.startswith("v") else "", self.n)
+        digits = s[4:] if bar else s[1:] if s.startswith("v") else ""
+        i = decimal_field(digits, self.n) if is_numeral(digits) else None
         if not i:
             raise GraphFormatError(f"bad vertex label {text!r}")
         return self.n + i - 1 if bar else i - 1

@@ -131,6 +131,18 @@ def test_verify_reads_code_files_by_one_rule(capsys, tmp_path, prism9):
     wrong.write_text("0000000001\n0000000011\n")
     for args in ((), ("--json",)):
         assert run(capsys, "verify", str(prism20), str(wrong), *args) == (64, "", "error: bad vertex token '0000000001'\n")
+    # one rule for numbers, plain or in a label: ASCII digits with no leading zero
+    for text, error in (("\u0660\u0661\n", "bad vertex token '\u0660\u0661'"),  # Arabic-Indic 0, 1
+                        ("\u0663\n", "bad vertex token '\u0663'"),
+                        ("v01 v02 v03 vbar06\n", "bad vertex label 'v01'"),
+                        ("v1 v2 v3 vbar06\n", "bad vertex label 'vbar06'"),
+                        ("v\u0663\n", "bad vertex label 'v\u0663'")):
+        tokens = tmp_path / "tokens.txt"
+        tokens.write_text(text, encoding="utf-8")
+        for args in ((), ("--json",)):
+            assert run(capsys, "verify", prism9, str(tokens), *args) == (64, "", f"error: {error}\n")
+    tokens.write_text("v1 v2 v3 vbar6\n")
+    assert run(capsys, "verify", prism9, str(tokens))[0] == 1
     cycle9 = tmp_path / "c9.txt"
     assert main(["gen", "cycle", "9", "-o", str(cycle9)]) == 0
     labels = tmp_path / "labels.txt"

@@ -295,7 +295,8 @@ def test_prism_indexing_roundtrip():
     for v in (-1, 18, 10**6):
         with pytest.raises(ValueError, match=f"^vertex {v} outside prism of order 18$"):
             ix.label(v)
-    for text in ("v10", "vbar10", "v0", "w3"):
+    # a label's digits are a numeral, as a plain vertex number's are: ASCII, no leading zero
+    for text in ("v10", "vbar10", "v0", "w3", "v01", "vbar06", "v\u0663", "vbar\uff17", "v", "vbar"):
         with pytest.raises(GraphFormatError, match=f"^bad vertex label '{text}'$"):
             ix.parse_label(text)
 

@@ -1,5 +1,6 @@
 """Layout trees, class counting, and the prism doubling bound."""
 
+import hashlib
 import random
 import time
 
@@ -71,7 +72,7 @@ def test_parse_format_roundtrip_random(order, seed, spaces):
 def test_tree_shape_validation():
     with pytest.raises(ValueError):
         LayoutTree.node(LayoutTree.leaf(0), LayoutTree.leaf(0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^leaf labels are nonnegative vertex indices$"):
         LayoutTree.leaf(-1)
     with pytest.raises(ValueError, match="^a node is either a leaf or has two children$"):
         LayoutTree(None, LayoutTree.leaf(0), None)
@@ -275,6 +276,49 @@ def test_random_layout_tree_deterministic():
     assert t1 == t2
     assert t1 != t3
     assert t1.leaves() == tuple(range(9))
+    # built twice, with shared leaves and new internal nodes, trees compare and hash equal
+    for order in (1, 2, 7, 64, MAX_ORDER):
+        a, b = (random_layout_tree(order, random.Random(order)) for _ in range(2))
+        parsed = parse_layout(format_layout(a))
+        assert a == b == parsed and hash(a) == hash(b) == hash(parsed)
+        assert (a is b) == (order == 1)
+        assert balanced_layout_tree(order) == balanced_layout_tree(order)
+        assert hash(balanced_layout_tree(order)) == hash(balanced_layout_tree(order))
+
+
+def test_random_layout_tree_frozen():
+    # every tree's text, and the rng's next draw after it: one shuffle and one
+    # split per internal node, so both the shape and the rng stream are pinned
+    digest = hashlib.sha256()
+    for order in range(1, 65):
+        for seed in (0, 1, 5, 11, 2**32 - 1):
+            rng = random.Random(seed)
+            t = random_layout_tree(order, rng)
+            digest.update(f"{format_layout(t)} {rng.random()!r}\n".encode())
+    assert digest.hexdigest() == "8732e82d554c17f3f920f77f49fe520d696820a2952dbd914805fd9bfba6a2d3"
+
+
+def test_shared_leaves():
+    leaf = LayoutTree.leaf(3)
+    assert LayoutTree.leaf(3) is leaf and leaf.is_leaf and leaf.leaf_mask == 1 << 3
+    # sharing a leaf object does not let a tree repeat a vertex
+    with pytest.raises(ValueError, match="^children cover overlapping leaf sets$"):
+        LayoutTree.node(LayoutTree.leaf(0), LayoutTree.leaf(0))
+    with pytest.raises(GraphFormatError, match="repeats a leaf label"):
+        parse_layout("(1,1)")
+    for name, value in (("vertex", 4), ("leaf_mask", 1), ("left", leaf)):
+        with pytest.raises(AttributeError, match="^LayoutTree is immutable$"):
+            setattr(leaf, name, value)
+    assert (leaf.vertex, leaf.left, leaf.right, leaf.leaf_mask) == (3, None, None, 1 << 3)
+    # the cache holds every leaf of a lifted tree at the order limit
+    lifted = prism_layout(balanced_layout_tree(MAX_ORDER))
+    assert all(node is LayoutTree.leaf(node.vertex) for node in lifted.postorder() if node.is_leaf)
+    # past the shared range, and after it has been cycled through, leaves still build right
+    for v in (2 * MAX_ORDER, 2 * MAX_ORDER + 1, 10 * MAX_ORDER, *range(3 * MAX_ORDER), 0, 3):
+        far = LayoutTree.leaf(v)
+        assert (far.vertex, far.leaf_mask, far.leaves()) == (v, 1 << v, (v,))
+    t = LayoutTree.node(LayoutTree.leaf(0), LayoutTree.leaf(2 * MAX_ORDER))
+    assert format_layout(t) == f"(1,{2 * MAX_ORDER + 1})"
 
 
 @settings(max_examples=60, deadline=None)
