@@ -28,9 +28,8 @@ from .graphs import (
     closed_twins,
     complementary_prism,
     cycle,
-    decimal_field,
     format_graph,
-    is_numeral,
+    numeral,
     parse_graph,
     random_graph,
 )
@@ -87,16 +86,16 @@ def _parse_code_file(text: str, g: Graph, indexing: Optional[PrismIndexing]) -> 
     out = []
     for token in text.split():
         if token.isdecimal():
-            if not is_numeral(token):  # leading zeros, as in a 0/1 row of the wrong length, or non-ASCII digits
+            v = numeral(token, g.order)
+            if v is None:  # leading zeros, as in a 0/1 row of the wrong length, or non-ASCII digits
                 raise GraphFormatError(f"bad vertex token {token!r}")
-            v = (decimal_field(token, g.order) or 0) - 1  # -1 outside 1..order
-            if v < 0:
+            if not 0 < v <= g.order:
                 raise GraphFormatError(f"vertex {token} outside 1..{g.order}")
+            out.append(v - 1)
         elif indexing is not None:
-            v = indexing.parse_label(token)
+            out.append(indexing.parse_label(token))
         else:
             raise GraphFormatError(f"bad vertex token {token!r}")
-        out.append(v)
     return out
 
 
@@ -194,9 +193,9 @@ def cmd_cwcheck(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be positive")
     rng = random.Random(args.seed)
-    fixed = None if args.target.isdecimal() else parse_graph(_read(args.target))
-    top = decimal_field(args.target, MAX_ORDER)
-    if fixed is None and not top:
+    top = numeral(args.target, MAX_ORDER)  # a numeral is an order bound, anything else a graph file
+    fixed = None if top is not None else parse_graph(_read(args.target))
+    if fixed is None and not 0 < top <= MAX_ORDER:
         raise GraphFormatError(f"order bound must be between 1 and {MAX_ORDER}")
     trials = []
     for trial in range(args.trials):

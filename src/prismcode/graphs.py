@@ -27,25 +27,16 @@ class GraphFormatError(ValueError):
     """Raised when graph or code text input does not parse."""
 
 
-def decimal_field(field: str, bound: int) -> Optional[int]:
-    """The value of a decimal numeral field when it is at most bound, else None.
+def numeral(text: str, bound: int) -> Optional[int]:
+    """The value of text if it is a numeral, ASCII digits with no leading zero, else None.
 
-    The digits are counted before int() reads them: int() refuses more than
-    4,300 digits, as str() does such a value, so messages quote the field.
+    Every number read from input text follows this rule; a lone "0" is a
+    numeral.  A value above bound comes back as bound + 1, its digits
+    counted before int() reads them: int() refuses over 4,300 digits.
     """
-    digits = field.lstrip("0") or "0"
-    if field.isdecimal() and len(digits) <= len(str(bound)) and int(digits) <= bound:
-        return int(digits)
-    return None
-
-
-def is_numeral(text: str) -> bool:
-    """Whether text is a number as code files write one: ASCII digits, no leading zero.
-
-    A lone "0" is a numeral.  Vertex numbers and the digits of "v3" and
-    "vbar7" labels both follow this rule.
-    """
-    return text.isascii() and text.isdecimal() and (text[0] != "0" or len(text) == 1)
+    if not (text.isascii() and text.isdecimal()) or (text[0] == "0" and text != "0"):
+        return None
+    return bound + 1 if len(text) > len(str(bound)) else min(int(text), bound + 1)
 
 
 class Graph:
@@ -189,8 +180,8 @@ class PrismIndexing:
         s = text.strip()
         bar = s.startswith("vbar")
         digits = s[4:] if bar else s[1:] if s.startswith("v") else ""
-        i = decimal_field(digits, self.n) if is_numeral(digits) else None
-        if not i:
+        i = numeral(digits, self.n)
+        if not i or i > self.n:
             raise GraphFormatError(f"bad vertex label {text!r}")
         return self.n + i - 1 if bar else i - 1
 
@@ -285,28 +276,30 @@ def parse_graph(text: str) -> Graph:
         if not line or line.startswith("c"):
             continue
         fields = line.split()
+        # a p line's fields bounded by MAX_ORDER, an e line's by the order it declared
+        values = [numeral(f, MAX_ORDER if order is None else order) for f in fields[1:]]
         if fields[0] == "p":
             if order is not None:
                 raise GraphFormatError(f"line {lineno}: duplicate p line")
-            if len(fields) != 3 or not all(f.isdecimal() for f in fields[1:]):
+            if len(values) != 2 or None in values:
                 raise GraphFormatError(f"line {lineno}: expected 'p <order> <edges>'")
-            order, declared = decimal_field(fields[1], MAX_ORDER), fields[2]
-            if order is None:
+            order, declared = values[0], fields[2]
+            if order > MAX_ORDER:
                 raise GraphFormatError(f"line {lineno}: order {fields[1]} exceeds the limit of {MAX_ORDER}")
         elif fields[0] == "e":
             if order is None:
                 raise GraphFormatError(f"line {lineno}: edge before p line")
-            if len(fields) != 3 or not all(f.isdecimal() for f in fields[1:]):
+            if len(values) != 2 or None in values:
                 raise GraphFormatError(f"line {lineno}: expected 'e <u> <v>'")
-            u, v = decimal_field(fields[1], order), decimal_field(fields[2], order)
-            if not (u and v) or u == v:
+            u, v = values
+            if not (0 < u <= order and 0 < v <= order) or u == v:
                 raise GraphFormatError(f"line {lineno}: bad edge {fields[1]} {fields[2]}")
             edges.append((u - 1, v - 1))
         else:
             raise GraphFormatError(f"line {lineno}: unknown record {fields[0]!r}")
     if order is None:
         raise GraphFormatError("missing p line")
-    if decimal_field(declared, len(edges)) != len(edges):
+    if numeral(declared, len(edges)) != len(edges):
         raise GraphFormatError(f"p line declares {declared} edges, found {len(edges)}")
     g = Graph.from_edges(order, edges)
     if g.edge_count != len(edges):

@@ -47,11 +47,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
-from .graphs import MAX_ORDER, Graph, GraphFormatError, bits, decimal_field
+from .graphs import MAX_ORDER, Graph, GraphFormatError, bits, numeral
 
 
 class LayoutTree:
-    """Leaf (vertex >= 0) or internal node with two children; immutable."""
+    """Immutable leaf (vertex >= 0) or two-child node; LayoutTree(v, None, None) is a new leaf, leaf(v) the shared one."""
 
     __slots__ = ("vertex", "left", "right", "leaf_mask")
 
@@ -62,6 +62,8 @@ class LayoutTree:
             if left.leaf_mask & right.leaf_mask:
                 raise ValueError("children cover overlapping leaf sets")
             mask = left.leaf_mask | right.leaf_mask
+        elif vertex < 0:
+            raise ValueError("leaf labels are nonnegative vertex indices")
         else:
             mask = 1 << vertex
         _set_vertex(self, vertex)  # the slots' own descriptors, since __setattr__ refuses
@@ -75,8 +77,6 @@ class LayoutTree:
     @classmethod
     def leaf(cls, vertex: int) -> "LayoutTree":
         """The one shared leaf at vertex, while it stays among the 2 * MAX_ORDER last used."""
-        if vertex < 0:
-            raise ValueError("leaf labels are nonnegative vertex indices")
         return _shared_leaf(vertex)
 
     @classmethod
@@ -144,14 +144,17 @@ def parse_layout(text: str) -> LayoutTree:
 
     One shift-reduce pass: labels, '(' and ',' are pushed, and each ')'
     reduces the top four entries, '(' left ',' right, to one node.  Error
-    offsets count the text with its whitespace removed.  Labels above MAX_ORDER are refused.
+    offsets count the text with its whitespace removed.  A label is a numeral, ASCII digits
+    with no leading zero, from 1 to MAX_ORDER; other runs of digits are refused by offset.
     """
     stack: list = []  # '(' and ',' as strings, finished subtrees as LayoutTree
-    for token in re.finditer(r"\d+|\D", "".join(text.split())):  # a label, or one other character
-        item = token.group()
-        if item.isdecimal():
-            label = decimal_field(item, MAX_ORDER)
+    for token in re.finditer(r"(\d+)|\D", "".join(text.split())):  # a run of digits, or one other character
+        item, digits = token.group(), token.group(1)
+        if digits is not None:
+            label = numeral(digits, MAX_ORDER)
             if label is None:
+                raise GraphFormatError(f"leaf label at offset {token.start()} is not a numeral")
+            if label > MAX_ORDER:
                 raise GraphFormatError(f"leaf label at offset {token.start()} is above the limit of {MAX_ORDER}")
             if label < 1:
                 raise GraphFormatError("leaf labels are 1-based")

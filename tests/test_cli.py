@@ -12,7 +12,16 @@ import pytest
 from prismcode import cli
 from prismcode.cli import main
 from prismcode.cycleprism import _prism
-from prismcode.graphs import MAX_ORDER, complementary_prism, cycle, format_graph, parse_graph
+from prismcode.graphs import (
+    MAX_ORDER,
+    GraphFormatError,
+    PrismIndexing,
+    complementary_prism,
+    cycle,
+    format_graph,
+    parse_graph,
+)
+from prismcode.layout import parse_layout
 
 import bruteforce as bf
 
@@ -229,6 +238,55 @@ def test_huge_decimal_fields_get_the_parsers_messages(capsys, tmp_path, prism9, 
     ):
         assert run(capsys, "verify", str(graph), str(code_file)) == (64, "", f"error: {message}\n")
     assert run(capsys, "cwcheck", big) == (64, "", f"error: order bound must be between 1 and {MAX_ORDER}\n")
+
+
+# One verdict per spelling in every reader: a numeral (ASCII digits, no leading zero) or no
+# number.  The last three are an Arabic-Indic 3, a fullwidth 3 and a superscript 3.
+SPELLINGS = {"3": True, "0": True, "9" * 5000: True,
+             "03": False, "00": False, "\u0663": False, "\uff13": False, "\u00b3": False}
+
+
+def test_every_reader_takes_numbers_by_one_rule(capsys, tmp_path, monkeypatch):
+    # Each reader gives the number it read, as text, or its message.  A numeral is
+    # read, or refused in the reader's words for its value; anything else is refused
+    # as no number.  Layout messages name a refused label by its offset, unquoted.
+    monkeypatch.chdir(tmp_path)  # where cwcheck looks for a target that is no numeral as a graph file
+    prism = complementary_prism(cycle(9))
+
+    def cwcheck(s):
+        code, out, err = run(capsys, "cwcheck", s, "--trials", "20", "--json")
+        assert code in (0, 64) and bool(out) == (code == 0)
+        return str(max(t["order"] for t in json.loads(out)["trials"])) if code == 0 else err.removeprefix("error: ").rstrip("\n")
+
+    readers = (  # (reader, its messages for a numeral's value, its messages for no number)
+        (lambda s: parse_graph(f"p {s} 0\n").order,
+         lambda s: {f"line 1: order {s} exceeds the limit of {MAX_ORDER}"}, lambda s: {"line 1: expected 'p <order> <edges>'"}),
+        (lambda s: parse_graph(f"p 3 {s}\ne 1 2\ne 2 3\ne 1 3\n").edge_count,
+         lambda s: {f"p line declares {s} edges, found 3"}, lambda s: {"line 1: expected 'p <order> <edges>'"}),
+        (lambda s: max(next(parse_graph(f"p 3 1\ne {s} 1\n").edges())) + 1,
+         lambda s: {f"line 2: bad edge {s} 1"}, lambda s: {"line 2: expected 'e <u> <v>'"}),
+        (lambda s: max(next(parse_graph(f"p 3 1\ne 1 {s}\n").edges())) + 1,
+         lambda s: {f"line 2: bad edge 1 {s}"}, lambda s: {"line 2: expected 'e <u> <v>'"}),
+        (lambda s: max(parse_layout(f"(1,{s})").leaves()) + 1,
+         lambda s: {"leaf labels are 1-based", f"leaf label at offset 3 is above the limit of {MAX_ORDER}"},
+         lambda s: {"leaf label at offset 3 is not a numeral", f"unexpected {s!r} at offset 3 of layout text"}),
+        (lambda s: cli._parse_code_file(s, prism, PrismIndexing(9))[0] + 1,
+         lambda s: {f"vertex {s} outside 1..18"}, lambda s: {f"bad vertex token {s!r}", f"bad vertex label {s!r}"}),
+        (lambda s: PrismIndexing(9).parse_label("v" + s) + 1,
+         lambda s: {f"bad vertex label {'v' + s!r}"}, lambda s: {f"bad vertex label {'v' + s!r}"}),
+        (cwcheck,
+         lambda s: {f"order bound must be between 1 and {MAX_ORDER}"}, lambda s: {f"[Errno 2] No such file or directory: {s!r}"}),
+    )
+    for spelling, is_numeral in SPELLINGS.items():
+        for k, (read, value_messages, refusals) in enumerate(readers):
+            try:
+                got = str(read(spelling))
+            except GraphFormatError as exc:
+                got = str(exc)
+            if is_numeral:  # 3 is in range for every reader
+                assert got == spelling or spelling != "3" and got in value_messages(spelling), (k, spelling[:20], got[:80])
+            else:
+                assert got in refusals(spelling), (k, spelling, got[:80])
 
 
 def test_conditions_clean_and_violations(capsys, tmp_path, pattern9):
